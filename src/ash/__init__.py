@@ -1,7 +1,7 @@
 """Seasoned hash constructions over black-box iterated hashes.
 
 ASH-1 wraps SHA-256 and ASH-2 wraps SHA-512. The wrapper pads a message,
-splits it into half-blocks, interleaves half k with half k+N, and hashes
+reads it as half-blocks, interleaves half k with half k+N, and hashes
 the result twice: once plain (the static section) and once XORed with one
 block of random pepper (the dynamic section). Digest = static section,
 dynamic section, then the pepper itself, so any holder of the digest can
@@ -38,13 +38,7 @@ from .errors import (
     TruncatedFrameError,
 )
 from .hashes import BlockHashFunction, sha256, sha512
-from .restructure import (
-    deinterleave,
-    interleave,
-    pad_message,
-    restructure,
-    split_halves,
-)
+from .restructure import interleave, pad_message
 from .seasoning import (
     append_salt,
     apply_pepper,
@@ -78,7 +72,6 @@ __all__ = [
     "create",
     "create_pair",
     "decode",
-    "deinterleave",
     "dynamic_section",
     "encode",
     "generate_pepper",
@@ -86,10 +79,8 @@ __all__ = [
     "interleave",
     "make_salt",
     "pad_message",
-    "restructure",
     "sections_match",
     "sha256",
     "sha512",
-    "split_halves",
     "verify",
 ]

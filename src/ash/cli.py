@@ -9,7 +9,6 @@ I/O, or protocol errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import BinaryIO
 
@@ -101,35 +100,36 @@ def _cmd_pepper(args: argparse.Namespace) -> int:
 
 def _cmd_challenge(args: argparse.Namespace) -> int:
     variant = get_variant(args.variant)
-    with open(args.file, "rb") as handle:
-        message = handle.read()
-    stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
+    if args.file == "-":
+        raise AshError("challenge carries its frames on standard input; give the file by path")
+    with _open_input(args.file, files.DEFAULT_MEMORY_BUDGET) as message:
+        stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
 
-    if args.role == "challenger":
-        session = protocol.Challenger(variant)
-        protocol.write_frame(stdout, session.issue())
-        response = protocol.read_frame(stdin)
-        if response is None:
-            print("ash: peer closed the stream before responding", file=sys.stderr)
+        if args.role == "challenger":
+            session = protocol.Challenger(variant)
+            protocol.write_frame(stdout, session.issue())
+            response = protocol.read_frame(stdin)
+            if response is None:
+                print("ash: peer closed the stream before responding", file=sys.stderr)
+                return 2
+            verdict = session.check(response, message)
+            protocol.write_frame(stdout, verdict)
+            print("ash: accept" if session.accepted else "ash: reject", file=sys.stderr)
+            return 0 if session.accepted else 1
+
+        session = protocol.Responder(variant)
+        challenge = protocol.read_frame(stdin)
+        if challenge is None:
+            print("ash: peer closed the stream before challenging", file=sys.stderr)
             return 2
-        verdict = session.check(response, message)
-        protocol.write_frame(stdout, verdict)
-        print("ash: accept" if session.accepted else "ash: reject", file=sys.stderr)
-        return 0 if session.accepted else 1
-
-    session = protocol.Responder(variant)
-    challenge = protocol.read_frame(stdin)
-    if challenge is None:
-        print("ash: peer closed the stream before challenging", file=sys.stderr)
-        return 2
-    protocol.write_frame(stdout, session.answer(challenge, message))
-    verdict = protocol.read_frame(stdin)
-    if verdict is None:
-        print("ash: peer closed the stream before the verdict", file=sys.stderr)
-        return 2
-    accepted = protocol.verdict_accepted(verdict)
-    print("ash: accepted" if accepted else "ash: rejected", file=sys.stderr)
-    return 0 if accepted else 1
+        protocol.write_frame(stdout, session.answer(challenge, message))
+        verdict = protocol.read_frame(stdin)
+        if verdict is None:
+            print("ash: peer closed the stream before the verdict", file=sys.stderr)
+            return 2
+        accepted = protocol.verdict_accepted(verdict)
+        print("ash: accepted" if accepted else "ash: rejected", file=sys.stderr)
+        return 0 if accepted else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,6 +12,9 @@ The static section is the same for a message no matter the pepper; the
 dynamic section binds the digest to one pepper value. Creation draws a
 fresh random pepper; verification must reuse the pepper embedded in the
 digest it is checking, which is why the two modes are separate.
+
+Both sections come from the chunked pipeline in ``ash.files``, so memory
+stays flat whatever the message size.
 """
 
 from __future__ import annotations
@@ -19,14 +22,15 @@ from __future__ import annotations
 import hmac
 import os
 from dataclasses import dataclass
-from typing import Callable
+from typing import BinaryIO, Callable
 
 from .errors import DigestFormatError, SizeMismatchError
-from .restructure import restructure
-from .seasoning import apply_pepper, generate_pepper
+from .files import _sections
+from .seasoning import generate_pepper
 from .variants import ASH1, ASH2, AshVariant
 
 _FORMS = ("binary", "hex", "tagged")
+_HEX_TEXT = b"0123456789abcdefABCDEF \t\n\r\x0b\x0c"
 
 
 @dataclass(frozen=True)
@@ -63,23 +67,16 @@ def create(
     """Hash a message, drawing a fresh random pepper unless one is supplied."""
     if pepper is None:
         pepper = generate_pepper(variant, rng)
-    elif len(pepper) != variant.pepper_size:
-        raise SizeMismatchError(
-            f"pepper is {len(pepper)} bytes, wanted {variant.pepper_size}"
-        )
-    stream = restructure(message, variant)
-    static = variant.base.compute(stream)
-    dynamic = variant.base.compute(apply_pepper(stream, pepper))
+    static, dynamic = _sections(message, variant, pepper)
     return AshDigest(variant, static, dynamic, pepper)
 
 
-def dynamic_section(message: bytes, variant: AshVariant, pepper: bytes) -> bytes:
-    """Just the pepper-bound section, for protocols that exchange it alone."""
-    if len(pepper) != variant.pepper_size:
-        raise SizeMismatchError(
-            f"pepper is {len(pepper)} bytes, wanted {variant.pepper_size}"
-        )
-    return variant.base.compute(apply_pepper(restructure(message, variant), pepper))
+def dynamic_section(message: bytes | BinaryIO, variant: AshVariant, pepper: bytes) -> bytes:
+    """Just the pepper-bound section, for protocols that exchange it alone.
+
+    ``message`` is bytes or a seekable binary stream, hashed from offset 0.
+    """
+    return _sections(message, variant, pepper, static=False)[1]
 
 
 def sections_match(computed: AshDigest, claimed: AshDigest) -> bool:
@@ -135,23 +132,31 @@ def _from_binary(raw: bytes, variant: AshVariant) -> AshDigest:
 def decode(encoded: bytes | str) -> AshDigest:
     """Parse any of the three encodings, inferring the variant.
 
-    Raw bytes of exactly 128 or 256 are binary ASH-1 / ASH-2; other bytes
-    inputs are treated as ASCII text. Text with a "tag:" prefix names its
+    Raw bytes of exactly 128 or 256 are binary ASH-1 / ASH-2, unless they
+    are all hex digits and whitespace and parse as text (256 bytes of ASH-1
+    hex); other bytes are ASCII text. Text with a "tag:" prefix names its
     variant; bare hex is sized 256 or 512 characters.
     """
-    if isinstance(encoded, (bytes, bytearray)):
-        raw = bytes(encoded)
-        for variant in (ASH1, ASH2):
-            if len(raw) == variant.total_size:
-                return _from_binary(raw, variant)
-        try:
-            text = raw.decode("ascii")
-        except UnicodeDecodeError:
-            raise DigestFormatError(
-                f"bad length: {len(raw)} bytes is not a binary digest size (128 or 256)"
-            ) from None
-    else:
-        text = encoded
+    if isinstance(encoded, str):
+        return _decode_text(encoded)
+    raw = bytes(encoded)
+    binary = next((v for v in (ASH1, ASH2) if len(raw) == v.total_size), None)
+    if binary is not None and raw.translate(None, _HEX_TEXT):
+        return _from_binary(raw, binary)
+    try:
+        return _decode_text(raw.decode("ascii"))
+    except UnicodeDecodeError:
+        raise DigestFormatError(
+            f"bad length: {len(raw)} bytes is not a binary digest size (128 or 256)"
+        ) from None
+    except DigestFormatError:
+        if binary is None:
+            raise
+    # a binary digest whose bytes all happen to be hex digits or whitespace
+    return _from_binary(raw, binary)
+
+
+def _decode_text(text: str) -> AshDigest:
     text = text.strip()
 
     if ":" in text:

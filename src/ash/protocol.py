@@ -33,6 +33,7 @@ from .errors import (
     BadFrameTypeError,
     BadMagicError,
     BadVersionError,
+    FrameError,
     ProtocolError,
     TruncatedFrameError,
 )
@@ -49,6 +50,16 @@ class FrameType(IntEnum):
     CHALLENGE = 0x02
     RESPONSE = 0x03
     VERDICT = 0x04
+
+
+# Largest payload of each frame type in either variant (ASH-2 pepper and
+# section sizes); read_frame refuses a longer declared length.
+_MAX_PAYLOAD = {
+    FrameType.PEPPER_SHARE: 128,
+    FrameType.CHALLENGE: 128,
+    FrameType.RESPONSE: 64,
+    FrameType.VERDICT: 1,
+}
 
 
 @dataclass(frozen=True)
@@ -100,7 +111,10 @@ def write_frame(stream: BinaryIO, frame: ProtocolFrame) -> None:
 
 
 def read_frame(stream: BinaryIO) -> ProtocolFrame | None:
-    """Read one frame from a blocking stream; None on clean end-of-stream."""
+    """Read one frame from a blocking stream; None on clean end-of-stream.
+
+    A payload longer than its frame type can carry is refused from the header.
+    """
     header = stream.read(HEADER_SIZE)
     if not header:
         return None
@@ -116,14 +130,22 @@ def read_frame(stream: BinaryIO) -> ProtocolFrame | None:
         raise BadVersionError(f"unsupported version {header[4]:#x}")
     if header[5] not in tuple(FrameType):
         raise BadFrameTypeError(f"unknown frame type {header[5]:#x}")
+    frame_type = FrameType(header[5])
     length = int.from_bytes(header[6:10], "big")
-    payload = b""
-    while len(payload) < length:
-        more = stream.read(length - len(payload))
+    if length > _MAX_PAYLOAD[frame_type]:
+        raise FrameError(
+            f"{frame_type.name} frame declares {length} payload bytes, "
+            f"at most {_MAX_PAYLOAD[frame_type]} allowed"
+        )
+    payload = bytearray(length)
+    got = 0
+    while got < length:
+        more = stream.read(length - got)
         if not more:
             raise TruncatedFrameError("stream ended inside a frame payload")
-        payload += more
-    return ProtocolFrame(FrameType(header[5]), payload)
+        payload[got : got + len(more)] = more
+        got += len(more)
+    return ProtocolFrame(frame_type, bytes(payload))
 
 
 def run_pepper_agreement(local_share: bytes, received_shares: Iterable[bytes]) -> bytes:
@@ -163,7 +185,7 @@ class Challenger:
         self.phase = Phase.AWAITING_RESPONSE
         return ProtocolFrame(FrameType.CHALLENGE, pepper)
 
-    def check(self, response: ProtocolFrame, message: bytes) -> ProtocolFrame:
+    def check(self, response: ProtocolFrame, message: bytes | BinaryIO) -> ProtocolFrame:
         """Compare the response against the local copy; emit the verdict frame."""
         if self.phase is not Phase.AWAITING_RESPONSE:
             raise ProtocolError(f"cannot check a response in phase {self.phase.value}")
@@ -191,7 +213,7 @@ class Responder:
         self.variant = variant
         self.phase = Phase.AWAITING_CHALLENGE
 
-    def answer(self, challenge: ProtocolFrame, message: bytes) -> ProtocolFrame:
+    def answer(self, challenge: ProtocolFrame, message: bytes | BinaryIO) -> ProtocolFrame:
         if self.phase is not Phase.AWAITING_CHALLENGE:
             raise ProtocolError(f"cannot answer a challenge in phase {self.phase.value}")
         if challenge.frame_type is not FrameType.CHALLENGE:

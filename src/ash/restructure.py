@@ -1,11 +1,15 @@
-"""Padding, half-block splitting, and the interleave permutation.
+"""Padding and the interleave permutation.
 
-A message is padded to whole base-hash blocks, the blocks are cut into 2N
-half-blocks, and half k is paired with half k+N (1-based), so output block
-k is ``h_k || h_{k+N}``. Ten halves therefore leave in the order
+A message is padded to whole base-hash blocks, the padded stream is read
+as 2N half-blocks, and half k is paired with half k+N (1-based), so output
+block k is ``h_k || h_{k+N}``. Ten halves therefore leave in the order
 1,6,2,7,3,8,4,9,5,10. Appending data to the message changes N and with it
 every pairing, which is what stops a single-block collision from surviving
 an appended suffix.
+
+``interleave_runs`` is the one implementation of the permutation: the
+digest pipeline in ``ash.files`` reads a run of first-half and a run of
+second-half halves per chunk and zips them with it.
 """
 
 from __future__ import annotations
@@ -14,9 +18,6 @@ from typing import Sequence
 
 from .errors import MessageTooLongError, SizeMismatchError
 from .variants import AshVariant
-
-# Run length for the strided copy loops; keeps the working set cache-resident.
-_CHUNK_HALVES = 8192
 
 
 def pad_suffix(message_length: int, variant: AshVariant) -> bytes:
@@ -42,84 +43,35 @@ def pad_message(message: bytes, variant: AshVariant) -> bytes:
     return message + pad_suffix(len(message), variant)
 
 
-def split_halves(stream: bytes, variant: AshVariant) -> list[bytes]:
-    """Cut a block-aligned stream into its 2N half-blocks, in stream order."""
-    if not stream or len(stream) % variant.block_size != 0:
-        raise SizeMismatchError(
-            f"stream of {len(stream)} bytes is not a positive multiple of "
-            f"{variant.block_size}-byte blocks"
-        )
-    h = variant.half_size
-    return [stream[i : i + h] for i in range(0, len(stream), h)]
-
-
 def interleave(halves: Sequence[bytes]) -> bytes:
     """Reorder 2N half-blocks as h1, h(N+1), h2, h(N+2), ... and rejoin.
 
-    With one block (N=1) the order is unchanged. An odd half count cannot
-    come out of ``split_halves`` and is rejected.
+    With one block (N=1) the order is unchanged. An odd half count is
+    rejected.
     """
     if not halves or len(halves) % 2 != 0:
         raise SizeMismatchError(f"cannot interleave {len(halves)} halves")
     n = len(halves) // 2
-    out = []
-    for k in range(n):
-        out.append(halves[k])
-        out.append(halves[n + k])
-    return b"".join(out)
-
-
-def restructure(message: bytes, variant: AshVariant) -> bytes:
-    """Pad, split, and interleave; what actually gets fed to the base hash.
-
-    Equal to ``interleave(split_halves(pad_message(message, variant)))`` and
-    always the same length as the padded message.
-    """
-    return interleave_block_aligned(pad_message(message, variant), variant.half_size)
-
-
-def deinterleave(stream: bytes, variant: AshVariant) -> bytes:
-    """Inverse permutation: recover the padded stream from a restructured one."""
-    halves = split_halves(stream, variant)
-    return b"".join(halves[0::2] + halves[1::2])
-
-
-def interleave_block_aligned(stream: bytes, half_size: int) -> bytes:
-    """Interleave a block-aligned byte stream without materializing halves.
-
-    Same permutation as ``interleave(split_halves(...))`` but built from
-    strided slice copies, chunk by chunk, so multi-gigabyte streams stay at
-    C-loop speed.
-    """
-    if not stream or len(stream) % (2 * half_size) != 0:
-        raise SizeMismatchError(
-            f"stream of {len(stream)} bytes is not a positive multiple of "
-            f"{2 * half_size}-byte blocks"
-        )
-    pairs = len(stream) // (2 * half_size)
-    if pairs == 1:
-        return bytes(stream)
-    mid = pairs * half_size
-    parts = []
-    for k in range(0, pairs, _CHUNK_HALVES):
-        m = min(_CHUNK_HALVES, pairs - k)
-        first = stream[k * half_size : (k + m) * half_size]
-        second = stream[mid + k * half_size : mid + (k + m) * half_size]
-        parts.append(interleave_runs(first, second, half_size))
-    return b"".join(parts)
+    return interleave_runs(b"".join(halves[:n]), b"".join(halves[n:]), len(halves[0]))
 
 
 def interleave_runs(first: bytes, second: bytes, half_size: int) -> bytes:
     """Zip two equal-length runs of half-blocks: f0 s0 f1 s1 ...
 
-    This is the inner step shared by the in-memory path and the two-cursor
-    file path; each output block takes one half from each run.
+    Each output block takes one half from each run. The copy goes by
+    strided slices, one per 8-byte word of a half-block (one per byte when
+    the half size is not a multiple of 8), so the Python loop runs a few
+    times per call however long the runs are.
     """
     if len(first) != len(second) or len(first) % half_size != 0:
         raise SizeMismatchError("half-block runs must be equal block-aligned lengths")
-    step = 2 * half_size
     seg = bytearray(2 * len(first))
-    for j in range(half_size):
-        seg[j::step] = first[j::half_size]
-        seg[half_size + j :: step] = second[j::half_size]
+    out, a, b, width = seg, first, second, half_size
+    if half_size % 8 == 0:
+        out, a, b = (memoryview(x).cast("Q") for x in (seg, first, second))
+        width = half_size // 8
+    step = 2 * width
+    for j in range(width):
+        out[j::step] = a[j::width]
+        out[width + j :: step] = b[j::width]
     return bytes(seg)

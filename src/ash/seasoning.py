@@ -14,9 +14,6 @@ from typing import Callable, Iterable
 from .errors import SizeMismatchError
 from .variants import AshVariant
 
-# Blocks XORed per big-integer operation on the bulk path.
-_XOR_CHUNK_BLOCKS = 65536
-
 
 def generate_pepper(variant: AshVariant, rng: Callable[[int], bytes] = os.urandom) -> bytes:
     """Draw one block of randomness.
@@ -36,7 +33,8 @@ def apply_pepper(stream: bytes, pepper: bytes) -> bytes:
     """XOR the pepper across every block: out[i] = stream[i] ^ pepper[i mod block].
 
     Length-preserving involution; applying the same pepper twice gives the
-    stream back.
+    stream back. One big-integer XOR over the whole input: the digest
+    pipeline calls it once per chunk, so that integer stays chunk-sized.
     """
     block = len(pepper)
     if block == 0:
@@ -45,29 +43,8 @@ def apply_pepper(stream: bytes, pepper: bytes) -> bytes:
         raise SizeMismatchError(
             f"stream of {len(stream)} bytes is not a multiple of the {block}-byte pepper"
         )
-    step = block * _XOR_CHUNK_BLOCKS
-    if len(stream) <= step:
-        return _xor_tiled(stream, pepper)
-    out = bytearray(len(stream))
-    pepper_int = int.from_bytes(pepper * _XOR_CHUNK_BLOCKS, "big")
-    for off in range(0, len(stream), step):
-        chunk = stream[off : off + step]
-        if len(chunk) == step:
-            out[off : off + step] = (int.from_bytes(chunk, "big") ^ pepper_int).to_bytes(
-                step, "big"
-            )
-        else:
-            out[off : off + len(chunk)] = _xor_tiled(chunk, pepper)
-    return bytes(out)
-
-
-def _xor_tiled(chunk: bytes, pepper: bytes) -> bytes:
-    if not chunk:
-        return b""
-    tile = pepper * (len(chunk) // len(pepper))
-    return (int.from_bytes(chunk, "big") ^ int.from_bytes(tile, "big")).to_bytes(
-        len(chunk), "big"
-    )
+    tile = int.from_bytes(pepper * (len(stream) // block), "big")
+    return (int.from_bytes(stream, "big") ^ tile).to_bytes(len(stream), "big")
 
 
 def combine_shares(shares: Iterable[bytes]) -> bytes:

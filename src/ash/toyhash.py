@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import SizeMismatchError
 from .hashes import BlockHashFunction
-from .restructure import interleave, split_halves
+from .restructure import interleave_runs
 from .variants import AshVariant
 
 BLOCK_SIZE = 8
@@ -99,7 +99,7 @@ def demonstrate_cascade(prefix: bytes, suffix: bytes) -> CascadeReport:
 
     Builds a twin of ``prefix`` whose first block is replaced by a colliding
     one, appends ``suffix`` to both, and hashes both messages two ways:
-    naively (straight into the toy hash) and through the split-and-interleave
+    naively (straight into the toy hash) and through the interleave
     permutation first. The naive digests always collide; the permuted ones
     stop colliding as soon as the stream spans more than one block, because
     the twin's two changed halves land in different output blocks whose word
@@ -113,9 +113,11 @@ def demonstrate_cascade(prefix: bytes, suffix: bytes) -> CascadeReport:
     twin = collide(prefix[:BLOCK_SIZE]) + prefix[BLOCK_SIZE:]
     message, forged = prefix + suffix, twin + suffix
     toy = toy_hash()
-    variant = toy_variant()
+
+    def permuted(stream: bytes) -> bytes:
+        mid = len(stream) // 2
+        return interleave_runs(stream[:mid], stream[mid:], BLOCK_SIZE // 2)
+
     naive = toy.compute(message) == toy.compute(forged)
-    ash = toy.compute(interleave(split_halves(message, variant))) == toy.compute(
-        interleave(split_halves(forged, variant))
-    )
+    ash = toy.compute(permuted(message)) == toy.compute(permuted(forged))
     return CascadeReport(naive_collides=naive, ash_collides=ash)

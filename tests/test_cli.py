@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -142,6 +143,15 @@ def test_verify_binary_digest_from_file(sample, tmp_path):
     assert run_cli("verify", f"@{digest_path}", str(sample)).returncode == 0
 
 
+def test_verify_hex_digest_file_without_newline(sample, tmp_path):
+    # 256 hex characters are also the size of a binary ASH-2 digest
+    hexed = run_cli("hash", "--format", "hex", str(sample), check=True).stdout.strip()
+    digest_path = tmp_path / "sample.hex"
+    digest_path.write_bytes(hexed)
+    assert len(hexed) == 256
+    assert run_cli("verify", f"@{digest_path}", str(sample)).returncode == 0
+
+
 def test_verify_ash2_round_trip(sample):
     digest = run_cli("hash", "--variant", "ash2", str(sample), check=True).stdout.decode().strip()
     assert run_cli("verify", digest, str(sample)).returncode == 0
@@ -202,6 +212,28 @@ def test_challenge_corrupted_file_rejects(sample, tmp_path):
     challenger, responder = _run_challenge_pair(sample, corrupted)
     assert challenger.returncode == 1
     assert responder.returncode == 1
+
+
+def test_challenge_reads_a_non_seekable_path(sample, tmp_path):
+    fifo = tmp_path / "sample.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as handle:
+            handle.write(sample.read_bytes())
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    challenger, responder = _run_challenge_pair(sample, fifo)
+    writer.join(timeout=60)
+    assert challenger.returncode == 0, challenger.stderr.read()
+    assert responder.returncode == 0, responder.stderr.read()
+
+
+def test_challenge_refuses_standard_input_as_its_file():
+    result = run_cli("challenge", "--role", "responder", "-", stdin=b"")
+    assert result.returncode == 2
+    assert b"path" in result.stderr
 
 
 def test_challenge_malformed_first_frame(sample):

@@ -230,6 +230,25 @@ def test_decode_binary_infers_variant_from_length():
     assert decode(encode(d2, "binary")).variant == ASH2
 
 
+def test_decode_reads_hex_bytes_as_text_before_binary():
+    # 256 bytes of ASH-1 hex are also the size of a binary ASH-2 digest
+    d = create(b"hex on disk", ASH1)
+    as_bytes = encode(d, "hex").encode("ascii")
+    assert len(as_bytes) == ASH2.total_size
+    assert decode(as_bytes) == d
+    assert decode(bytearray(as_bytes)) == d
+    assert decode(encode(d, "tagged").encode("ascii")) == d
+
+
+def test_decode_binary_digest_made_of_hex_digits_stays_binary():
+    # 128 hex digits are no text digest, so those bytes are read as binary
+    # ASH-1; 256 of them would be ASH-1 hex, which a random binary ASH-2
+    # digest is with probability (22/256)**256
+    raw = bytes(random.Random(41).choice(b"0123456789abcdef") for _ in range(128))
+    d = decode(raw)
+    assert d.variant == ASH1 and encode(d, "binary") == raw
+
+
 def test_decode_accepts_surrounding_whitespace():
     d = create(b"ws", ASH1)
     assert decode("  " + encode(d, "tagged") + "\n") == d

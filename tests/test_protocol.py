@@ -8,6 +8,7 @@ from ash.errors import (
     BadFrameTypeError,
     BadMagicError,
     BadVersionError,
+    FrameError,
     ProtocolError,
     TruncatedFrameError,
 )
@@ -20,6 +21,7 @@ from ash.protocol import (
     Responder,
     decode_frame,
     encode_frame,
+    read_frame,
     run_pepper_agreement,
     verdict_accepted,
 )
@@ -73,6 +75,58 @@ def test_declared_length_must_be_present():
     raw = b"ASHP\x01\x01" + (5).to_bytes(4, "big") + b"abcd"
     with pytest.raises(TruncatedFrameError):
         decode_frame(raw)
+
+
+class _RecordingStream:
+    """A readable stream that records every read size it is asked for."""
+
+    def __init__(self, data: bytes):
+        self._data = data
+        self.requests = []
+
+    def read(self, n):
+        self.requests.append(n)
+        out, self._data = self._data[:n], self._data[n:]
+        return out
+
+
+def test_read_frame_refuses_oversized_length_before_reading_payload():
+    header = b"ASHP\x01\x02" + (0xFFFFFFFF).to_bytes(4, "big")
+    stream = _RecordingStream(header + b"x" * 64)
+    with pytest.raises(FrameError, match="4294967295"):
+        read_frame(stream)
+    assert stream.requests == [HEADER_SIZE]
+
+
+@pytest.mark.parametrize(
+    "frame_type,limit",
+    [
+        (FrameType.PEPPER_SHARE, 128),
+        (FrameType.CHALLENGE, 128),
+        (FrameType.RESPONSE, 64),
+        (FrameType.VERDICT, 1),
+    ],
+)
+def test_read_frame_bounds_each_frame_type(frame_type, limit):
+    largest = encode_frame(ProtocolFrame(frame_type, bytes(limit)))
+    assert read_frame(_RecordingStream(largest)) == ProtocolFrame(frame_type, bytes(limit))
+    too_long = encode_frame(ProtocolFrame(frame_type, bytes(limit + 1)))
+    stream = _RecordingStream(too_long)
+    with pytest.raises(FrameError):
+        read_frame(stream)
+    assert stream.requests == [HEADER_SIZE]
+
+
+def test_read_frame_assembles_a_payload_from_short_reads():
+    class Trickle(_RecordingStream):
+        def read(self, n):
+            return super().read(min(n, 3))
+
+    frame = ProtocolFrame(FrameType.CHALLENGE, bytes(range(64)))
+    stream = Trickle(encode_frame(frame))
+    assert read_frame(stream) == frame
+    with pytest.raises(TruncatedFrameError):
+        read_frame(Trickle(encode_frame(frame)[:-1]))
 
 
 def test_frame_constructor_validates():

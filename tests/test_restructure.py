@@ -1,23 +1,59 @@
-"""Padding, splitting, and the interleave permutation."""
+"""Padding, splitting into half-blocks, and the interleave permutation.
 
+``restructure`` below records what the digest pipeline actually feeds its
+base hash, through the black-box hash seam, so the restructuring tests
+check the chunked pipeline itself rather than a separate implementation.
+"""
+
+import dataclasses
+import importlib
 import random
+import types
 
 import pytest
 
+from ash.digest import create
 from ash.errors import MessageTooLongError, SizeMismatchError
-from ash.restructure import (
-    deinterleave,
-    interleave,
-    interleave_block_aligned,
-    interleave_runs,
-    pad_message,
-    restructure,
-    split_halves,
-)
+from ash.restructure import interleave, interleave_runs, pad_message
 from ash.toyhash import toy_hash
 from ash.variants import ASH1, ASH2, AshVariant
 
 from oracle import oracle_pad, oracle_permute
+
+
+def split_halves(stream: bytes, variant: AshVariant) -> list[bytes]:
+    h = variant.half_size
+    return [stream[i : i + h] for i in range(0, len(stream), h)]
+
+
+def restructure(message: bytes, variant: AshVariant) -> bytes:
+    """The stream the digest pipeline hashes for ``message``."""
+    fed = []
+
+    class Recorder:
+        def __init__(self):
+            self.data = bytearray()
+            fed.append(self.data)
+
+        def update(self, chunk):
+            self.data += chunk
+
+        def digest(self):
+            return bytes(variant.section_size)
+
+    recording = dataclasses.replace(variant, base=dataclasses.replace(variant.base, new=Recorder))
+    create(message, recording, bytes(variant.pepper_size))
+    static, dynamic = fed
+    assert static == dynamic  # the zero pepper leaves the dynamic input unchanged
+    return bytes(static)
+
+
+def test_restructure_is_a_module_attribute_of_the_package():
+    module = importlib.import_module("ash.restructure")
+    import ash.restructure
+
+    assert isinstance(ash.restructure, types.ModuleType) and ash.restructure is module
+    assert ash.restructure.pad_message(b"", ASH1) == oracle_pad(b"", 64, 8)
 
 
 def test_pad_empty_message():
@@ -69,28 +105,37 @@ def test_pad_length_overflow():
 
 
 def test_split_one_block():
-    halves = split_halves(bytes(64), ASH1)
-    assert len(halves) == 2 and all(len(h) == 32 for h in halves)
-    halves = split_halves(bytes(128), ASH2)
-    assert len(halves) == 2 and all(len(h) == 64 for h in halves)
+    # one block is one pair of halves, which the pipeline feeds in order
+    for variant in (ASH1, ASH2):
+        message = b"m" * (variant.block_size - variant.length_field_size - 1)
+        padded = pad_message(message, variant)
+        assert len(padded) == variant.block_size
+        assert restructure(message, variant) == padded
 
 
 def test_split_five_blocks_gives_ten_halves():
-    stream = bytes(320)
-    assert len(split_halves(stream, ASH1)) == 10
+    message = random.Random(9).randbytes(5 * 64 - 9)  # pads to exactly five blocks
+    halves = split_halves(pad_message(message, ASH1), ASH1)
+    fed = split_halves(restructure(message, ASH1), ASH1)
+    assert len(fed) == 10
+    assert fed == [halves[i - 1] for i in (1, 6, 2, 7, 3, 8, 4, 9, 5, 10)]
 
 
 def test_split_concatenation_round_trip():
+    # regrouping the fed halves (even positions, then odd) rebuilds the padded stream
     rng = random.Random(9)
-    stream = rng.randbytes(64 * 7)
-    assert b"".join(split_halves(stream, ASH1)) == stream
+    for variant in (ASH1, ASH2):
+        message = rng.randbytes(variant.block_size * 7 - 20)
+        fed = split_halves(restructure(message, variant), variant)
+        assert b"".join(fed[0::2] + fed[1::2]) == pad_message(message, variant)
 
 
 def test_split_rejects_misaligned_stream():
+    # runs are cut at half-block granularity; a partial half is refused
     with pytest.raises(SizeMismatchError):
-        split_halves(bytes(63), ASH1)
+        interleave_runs(bytes(31), bytes(31), 32)
     with pytest.raises(SizeMismatchError):
-        split_halves(b"", ASH1)
+        interleave_runs(bytes(63), bytes(63), 32)
 
 
 def test_interleave_ten_halves_known_order():
@@ -132,12 +177,10 @@ def test_interleave_round_trip(variant):
     rng = random.Random(10)
     for blocks in (1, 2, 3, 8, 33):
         stream = rng.randbytes(blocks * variant.block_size)
-        permuted = interleave(split_halves(stream, variant))
-        assert len(permuted) == len(stream)
-        assert deinterleave(permuted, variant) == stream
-        assert sorted(split_halves(permuted, variant)) == sorted(
-            split_halves(stream, variant)
-        )
+        permuted = split_halves(interleave(split_halves(stream, variant)), variant)
+        assert len(b"".join(permuted)) == len(stream)
+        assert b"".join(permuted[0::2] + permuted[1::2]) == stream
+        assert sorted(permuted) == sorted(split_halves(stream, variant))
 
 
 def test_restructure_composition_and_oracle():
@@ -189,11 +232,10 @@ def test_appending_data_breaks_the_prefix():
 
 def test_fast_path_matches_list_interleave():
     rng = random.Random(14)
-    for blocks in (1, 2, 3, 17, 9000):  # 9000 blocks crosses the chunked run length
-        stream = rng.randbytes(blocks * 64)
-        assert interleave_block_aligned(stream, 32) == interleave(
-            split_halves(stream, ASH1)
-        )
+    for blocks in (1, 2, 3, 17, 9000):  # 9000 blocks crosses the pipeline's chunk length
+        message = rng.randbytes(blocks * 64 - 9)  # pads to exactly `blocks` blocks
+        padded = pad_message(message, ASH1)
+        assert restructure(message, ASH1) == interleave(split_halves(padded, ASH1))
 
 
 def test_interleave_runs_zips_half_blocks():
@@ -204,3 +246,14 @@ def test_interleave_runs_zips_half_blocks():
     )
     with pytest.raises(SizeMismatchError):
         interleave_runs(first, second[:32], 32)
+
+
+@pytest.mark.parametrize("half_size", [4, 32, 64])
+def test_interleave_runs_word_and_byte_copies_agree_with_the_oracle(half_size):
+    # 32 and 64 copy 8-byte words; the toy variant's 4 copies bytes
+    rng = random.Random(15)
+    for pairs in (1, 2, 5, 64):
+        first, second = rng.randbytes(pairs * half_size), rng.randbytes(pairs * half_size)
+        assert interleave_runs(first, second, half_size) == oracle_permute(
+            first + second, half_size
+        )
