@@ -18,6 +18,10 @@ from .errors import AshError, DigestFormatError
 from .seasoning import combine_shares, generate_pepper
 from .variants import AshVariant, get_variant
 
+# Largest digest file read for ``verify @FILE``: an ASH-2 tagged digest is
+# 5 + 512 characters, so anything longer than this is not one.
+_DIGEST_FILE_LIMIT = 4096
+
 
 def _open_input(path: str, memory_budget: int) -> BinaryIO:
     if path == "-":
@@ -61,7 +65,12 @@ def _cmd_hash(args: argparse.Namespace) -> int:
 def _read_digest_argument(argument: str) -> digestmod.AshDigest:
     if argument.startswith("@"):
         with open(argument[1:], "rb") as handle:
-            return digestmod.decode(handle.read())
+            raw = handle.read(_DIGEST_FILE_LIMIT + 1)
+        if len(raw) > _DIGEST_FILE_LIMIT:
+            raise DigestFormatError(
+                f"digest file is larger than {_DIGEST_FILE_LIMIT} bytes; no digest is that long"
+            )
+        return digestmod.decode(raw)
     return digestmod.decode(argument)
 
 

@@ -5,10 +5,15 @@ second half of the padded stream is needed from the very first output
 block. Rather than buffering everything, ``_sections`` walks the
 first-half region (halves 1..N) and the second-half region (halves
 N+1..2N) with two read cursors in lockstep; each pair of runs is zipped,
-peppered and fed to the section hashes, so peak memory is a few chunk
-buffers whatever the input size. ``digest_stream`` and ``digest_file``
-here and ``create``, ``verify`` and ``dynamic_section`` in ``ash.digest``
-(and through them the challenge sessions and the CLI) all run through it.
+peppered with a mask built once per call, and fed to the section hashes.
+An input longer than one chunk has its dynamic hash updated on one worker
+thread (hashlib releases the interpreter lock while it hashes), so the
+dynamic SHA pass overlaps the reads, the permutation, the XOR and the
+static pass on the calling thread; a bounded hand-off keeps peak memory a
+few chunk buffers whatever the input size. ``digest_stream`` and
+``digest_file`` here and ``create``, ``verify`` and ``dynamic_section``
+in ``ash.digest`` (and through them the challenge sessions and the CLI)
+all run through it.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import io
 import os
 import shutil
 import tempfile
-from typing import BinaryIO, Callable
+from typing import Any, BinaryIO, Callable
 
 from . import digest
 from .errors import AshError, SizeMismatchError
@@ -27,8 +32,9 @@ from .variants import AshVariant
 
 DEFAULT_MEMORY_BUDGET = 256 * 1024 * 1024
 
-# Half-block pairs per chunk; keeps the working set cache-resident.
-_CHUNK_HALVES = 8192
+# Half-block pairs per chunk: 128 KiB (ASH-1) or 256 KiB (ASH-2) chunks, so
+# the few chunk buffers in flight fit in one core's L2 cache.
+_CHUNK_HALVES = 2048
 
 
 class _PaddedView:
@@ -83,18 +89,74 @@ def _sections(
     pairs = (size + len(suffix)) // variant.block_size
     mid = pairs * half
     view = _PaddedView(source, size, suffix)
+    step = min(_CHUNK_HALVES, pairs)
+    full = step * variant.block_size
+    mask = int.from_bytes(pepper * step, "big")
 
     static_hash = variant.base.new() if static else None
     dynamic_hash = variant.base.new()
-    for k in range(0, pairs, _CHUNK_HALVES):
-        m = min(_CHUNK_HALVES, pairs - k)
-        first = view.read_at(k * half, m * half)
-        second = view.read_at(mid + k * half, m * half)
-        segment = interleave_runs(first, second, half)
-        if static_hash is not None:
-            static_hash.update(segment)
-        dynamic_hash.update(apply_pepper(segment, pepper))
+    worker = _HashWorker(dynamic_hash) if pairs > step else None
+    update = dynamic_hash.update if worker is None else worker.put
+    try:
+        for k in range(0, pairs, step):
+            m = min(step, pairs - k)
+            first = view.read_at(k * half, m * half)
+            second = view.read_at(mid + k * half, m * half)
+            segment = interleave_runs(first, second, half)
+            if static_hash is not None:
+                static_hash.update(segment)
+            # the short last chunk takes the leading bytes of the tile; a
+            # zero shift would copy the whole mask
+            n = len(segment)
+            tile = mask if n == full else mask >> 8 * (full - n)
+            update(apply_pepper(segment, pepper, mask=tile))
+    finally:
+        # an error raised in the loop takes precedence over the worker's
+        failure = worker.close() if worker is not None else None
+    if failure is not None:
+        raise failure
     return (static_hash.digest() if static else None), dynamic_hash.digest()
+
+
+class _HashWorker:
+    """One thread that runs ``hash_obj.update`` on each chunk given to ``put``, in order.
+
+    At most one chunk waits in the hand-off between the threads. ``close``
+    must follow the last ``put``, also on error: it joins the thread and
+    returns the error the thread hit, if any.
+    """
+
+    def __init__(self, hash_obj: Any):
+        # Imported here: only inputs longer than one chunk start a thread, so
+        # a one-chunk call and the CLI's start-up do not load these modules.
+        import queue
+        import threading
+
+        self._hash = hash_obj
+        self._handoff: queue.Queue = queue.Queue(1)
+        self._failure: BaseException | None = None
+        self._thread = threading.Thread(target=self._drain, name="ash-hash", daemon=True)
+        self._thread.start()
+
+    def _drain(self) -> None:
+        # Keeps taking chunks after a failure, so ``put`` never blocks on a
+        # full hand-off; ``close`` passes the failure to the calling thread.
+        while (chunk := self._handoff.get()) is not None:
+            if self._failure is None:
+                try:
+                    self._hash.update(chunk)
+                except BaseException as exc:
+                    self._failure = exc
+
+    def put(self, chunk: bytes) -> None:
+        if self._failure is not None:
+            raise self._failure
+        self._handoff.put(chunk)
+
+    def close(self) -> BaseException | None:
+        self._handoff.put(None)
+        self._thread.join()
+        return self._failure
 
 
 def digest_stream(

@@ -29,12 +29,15 @@ def generate_pepper(variant: AshVariant, rng: Callable[[int], bytes] = os.urando
     return pepper
 
 
-def apply_pepper(stream: bytes, pepper: bytes) -> bytes:
+def apply_pepper(stream: bytes, pepper: bytes, *, mask: int | None = None) -> bytes:
     """XOR the pepper across every block: out[i] = stream[i] ^ pepper[i mod block].
 
     Length-preserving involution; applying the same pepper twice gives the
     stream back. One big-integer XOR over the whole input: the digest
     pipeline calls it once per chunk, so that integer stays chunk-sized.
+    ``mask``, if given, is the pepper tiled to the stream's length as one
+    big-endian integer, so a caller that XORs many chunks builds it once;
+    a chunk ``d`` bytes shorter takes ``mask >> 8 * d``.
     """
     block = len(pepper)
     if block == 0:
@@ -43,8 +46,9 @@ def apply_pepper(stream: bytes, pepper: bytes) -> bytes:
         raise SizeMismatchError(
             f"stream of {len(stream)} bytes is not a multiple of the {block}-byte pepper"
         )
-    tile = int.from_bytes(pepper * (len(stream) // block), "big")
-    return (int.from_bytes(stream, "big") ^ tile).to_bytes(len(stream), "big")
+    if mask is None:
+        mask = int.from_bytes(pepper * (len(stream) // block), "big")
+    return (int.from_bytes(stream, "big") ^ mask).to_bytes(len(stream), "big")
 
 
 def combine_shares(shares: Iterable[bytes]) -> bytes:

@@ -11,7 +11,7 @@ import pytest
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args, stdin=None, check=False):
+def run_cli(*args, stdin=None, check=False, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     result = subprocess.run(
@@ -19,6 +19,7 @@ def run_cli(*args, stdin=None, check=False):
         input=stdin,
         capture_output=True,
         env=env,
+        timeout=timeout,
     )
     if check and result.returncode != 0:
         raise AssertionError(f"cli failed: {result.returncode} {result.stderr!r}")
@@ -150,6 +151,22 @@ def test_verify_hex_digest_file_without_newline(sample, tmp_path):
     digest_path.write_bytes(hexed)
     assert len(hexed) == 256
     assert run_cli("verify", f"@{digest_path}", str(sample)).returncode == 0
+
+
+@pytest.mark.parametrize("kind", ["sparse_100mb", "dev_zero"])
+def test_verify_refuses_an_oversized_digest_file_after_a_bounded_read(sample, tmp_path, kind):
+    if kind == "dev_zero":
+        if not os.path.exists("/dev/zero"):
+            pytest.skip("no /dev/zero")
+        digest_path = "/dev/zero"  # endless: a whole-file read would never return
+    else:
+        digest_path = tmp_path / "huge.ash"
+        with open(digest_path, "wb") as handle:
+            handle.truncate(100_000_000)
+    result = run_cli("verify", f"@{digest_path}", str(sample), timeout=60)
+    assert result.returncode == 2
+    lines = result.stderr.decode().strip().splitlines()
+    assert len(lines) == 1 and "larger than 4096 bytes" in lines[0]
 
 
 def test_verify_ash2_round_trip(sample):

@@ -1,8 +1,11 @@
 """Streaming file digests against the in-memory pipeline."""
 
+import dataclasses
 import hashlib
 import io
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -38,8 +41,14 @@ class _ToyOracleHash:
 
 ORACLE_HASH = {ASH1: hashlib.sha256, ASH2: hashlib.sha512, TOY: _ToyOracleHash}
 
-# sizes around block, half-chunk, and chunk boundaries
-BOUNDARY_SIZES = [0, 1, 31, 32, 55, 56, 63, 64, 65, 127, 128, 129, 4096, 262143, 262144, 600000]
+# bytes in one ASH-1 chunk, and in one ASH-2 chunk
+CHUNK_BYTES = _CHUNK_HALVES * ASH1.block_size
+CHUNK_BYTES_ASH2 = _CHUNK_HALVES * ASH2.block_size
+
+# sizes around block, half-chunk, and chunk boundaries, then several chunks of either variant
+BOUNDARY_SIZES = [0, 1, 31, 32, 55, 56, 63, 64, 65, 127, 128, 129, 4096]
+BOUNDARY_SIZES += [CHUNK_BYTES // 2 - 1, CHUNK_BYTES // 2, CHUNK_BYTES - 1, CHUNK_BYTES]
+BOUNDARY_SIZES += [3 * CHUNK_BYTES_ASH2 + 1000]
 
 
 @pytest.mark.parametrize("variant", [ASH1, ASH2], ids=["ash1", "ash2"])
@@ -175,16 +184,121 @@ def test_core_matches_oracle_on_the_toy_variant(message, pepper):
 
 
 class _Shrinking(io.BytesIO):
-    """A stream that loses its tail after the first read, as a truncated file does."""
+    """A stream that loses its tail after some reads, as a truncated file does."""
+
+    def __init__(self, data: bytes, reads: int = 1):
+        super().__init__(data)
+        self._reads = reads
 
     def read(self, n=-1):
         out = super().read(n)
-        self.truncate(1)
+        self._reads -= 1
+        if self._reads <= 0:
+            self.truncate(1)
         return out
 
 
-@pytest.mark.parametrize("size", [200, 3 * 2 * 32 * _CHUNK_HALVES])
+@pytest.mark.parametrize("size", [200, 3 * 512 * 1024])
 def test_input_that_shrinks_mid_read_raises(size):
-    stream = _Shrinking(random.Random(77).randbytes(size))
+    # one chunk shrinks at its first read; a multi-chunk input at its fifth,
+    # in the third chunk, while the worker thread hashes the earlier ones
+    reads = 1 if size < CHUNK_BYTES else 5
+    assert reads == 1 or size > 3 * CHUNK_BYTES
+    threads = threading.active_count()
+    stream = _Shrinking(random.Random(77).randbytes(size), reads)
     with pytest.raises(AshError, match="shrank"):
         digest_stream(stream, ASH1, bytes(64))
+    assert threading.active_count() == threads
+
+
+class _FailingHash:
+    """hashlib-style object whose update raises once it has taken ``ok`` chunks."""
+
+    def __init__(self, ok: int):
+        self._h = hashlib.sha256()
+        self._ok = ok
+
+    def update(self, data):
+        if self._ok <= 0:
+            raise RuntimeError("base hash failed")
+        self._ok -= 1
+        self._h.update(data)
+
+    def digest(self):
+        return self._h.digest()
+
+
+def _failing_variant(ok):
+    base = dataclasses.replace(ASH1.base, new=lambda: _FailingHash(ok))
+    return dataclasses.replace(ASH1, base=base)
+
+
+def _outcome_within(seconds, fn):
+    """Run fn on a helper thread; fail if it has not returned or raised in time."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(fn())
+        except BaseException as exc:
+            outcome.append(exc)
+
+    helper = threading.Thread(target=run, daemon=True)
+    helper.start()
+    helper.join(seconds)
+    assert not helper.is_alive(), "the digest hung"
+    return outcome[0]
+
+
+@pytest.mark.parametrize(
+    "size", [200, 6 * CHUNK_BYTES - 100], ids=["one-chunk", "six-chunks"]  # pads to 6 chunks
+)
+@pytest.mark.parametrize("ok", [0, 2, 5], ids=["first-update", "third-update", "sixth-update"])
+@pytest.mark.parametrize("which", ["dynamic_section", "create"])
+def test_a_failing_base_hash_raises_instead_of_hanging(size, ok, which):
+    # dynamic_section updates only the dynamic hash, on the worker for a
+    # multi-chunk input; create also fails in the static hash, on the caller.
+    # A failure on the last chunk is seen only when the worker is joined.
+    variant = _failing_variant(ok)
+    message = random.Random(78).randbytes(size)
+    pepper = bytes(64)
+    if which == "create":
+        call = lambda: create(message, variant, pepper)
+    else:
+        call = lambda: dynamic_section(message, variant, pepper)
+    threads = threading.active_count()
+    outcome = _outcome_within(60, call)
+    if size == 200 and ok > 0:  # one chunk, one update: nothing fails
+        assert not isinstance(outcome, BaseException)
+    else:
+        assert isinstance(outcome, RuntimeError) and "base hash failed" in str(outcome)
+    assert threading.active_count() == threads
+
+
+def test_concurrent_multi_chunk_digests_match_the_oracle():
+    # more digesting threads than cores, switching as often as possible: a
+    # chunk lost or reordered on its way to the worker breaks the digest
+    rng = random.Random(79)
+    messages = [rng.randbytes(3 * CHUNK_BYTES + 97 * i) for i in range(4)]
+    pepper = rng.randbytes(64)
+    expected = [oracle_digest(m, pepper, hashlib.sha256, 64, 8) for m in messages]
+    results = [None] * len(messages)
+
+    def work(i):
+        for _ in range(3):
+            results[i] = encode(digest_stream(io.BytesIO(messages[i]), ASH1, pepper), "binary")
+            if results[i] != expected[i]:
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(len(messages))]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert results == expected

@@ -48,6 +48,20 @@ def test_apply_pepper_is_involution(variant):
         assert apply_pepper(seasoned, pepper) == stream
 
 
+@pytest.mark.parametrize("variant", [ASH1, ASH2], ids=["ash1", "ash2"])
+def test_apply_pepper_with_a_prebuilt_mask_matches(variant):
+    rng = random.Random(23)
+    pepper = rng.randbytes(variant.pepper_size)
+    full = 7  # blocks in a whole chunk
+    mask = int.from_bytes(pepper * full, "big")
+    stream = rng.randbytes(variant.block_size * full)
+    assert apply_pepper(stream, pepper, mask=mask) == apply_pepper(stream, pepper)
+    for blocks in (1, 3, 6):  # a short final chunk takes the mask's leading bytes
+        short = stream[: variant.block_size * blocks]
+        shifted = mask >> 8 * variant.block_size * (full - blocks)
+        assert apply_pepper(short, pepper, mask=shifted) == apply_pepper(short, pepper)
+
+
 def test_apply_pepper_bitwise_example():
     assert apply_pepper(b"\xff" * 64, b"\x0f" * 64) == b"\xf0" * 64
 
