@@ -3,7 +3,7 @@
 Standard output carries only digests and protocol frames; anything meant
 for a human goes to standard error, so the tool can sit in a pipeline.
 Exit codes: 0 success/match/accept, 1 mismatch/reject, 2 usage, format,
-I/O, or protocol errors.
+I/O, or protocol errors, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -198,6 +198,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"ash: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        # the digest pipeline has joined its worker thread on the way out
+        print("ash: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ second half of the padded stream is needed from the very first output
 block. Rather than buffering everything, ``_sections`` walks the
 first-half region (halves 1..N) and the second-half region (halves
 N+1..2N) with two read cursors in lockstep; each pair of runs is zipped,
-peppered with a mask built once per call, and fed to the section hashes.
+peppered with a mask built once per call, and fed to the section hashes;
+a whole chunk of zeros skips the zip and the XOR, whose results it knows.
 An input longer than one chunk has its dynamic hash updated on one worker
 thread (hashlib releases the interpreter lock while it hashes), so the
 dynamic SHA pass overlaps the reads, the permutation, the XOR and the
@@ -92,6 +93,13 @@ def _sections(
     step = min(_CHUNK_HALVES, pairs)
     full = step * variant.block_size
     mask = int.from_bytes(pepper * step, "big")
+    # A one-chunk input is never all zeros (its second run ends in the
+    # length field, and the empty message's first run holds 0x80), so only
+    # a longer one looks for zero chunks. The zero run is built once two
+    # runs are equal, and the tiled pepper once a chunk is all zeros, so
+    # other inputs hold neither. The short last chunk never equals the zero
+    # run, being shorter.
+    zero = tiled = None
 
     static_hash = variant.base.new() if static else None
     dynamic_hash = variant.base.new()
@@ -102,6 +110,19 @@ def _sections(
             m = min(step, pairs - k)
             first = view.read_at(k * half, m * half)
             second = view.read_at(mid + k * half, m * half)
+            if pairs > step and first == second:
+                if zero is None:
+                    zero = bytes(step * half)
+                if first == zero:
+                    # Zipping zeros gives zeros, and XORing zeros with the
+                    # pepper gives the pepper tiled: only the SHA passes remain.
+                    if static_hash is not None:
+                        static_hash.update(first)
+                        static_hash.update(second)
+                    if tiled is None:
+                        tiled = pepper * step
+                    update(tiled)
+                    continue
             segment = interleave_runs(first, second, half)
             if static_hash is not None:
                 static_hash.update(segment)
@@ -168,6 +189,10 @@ def digest_stream(
     """Digest a seekable binary stream with bounded memory.
 
     Matches ``digest.create`` on the stream's full contents, bit for bit.
+    The size is a snapshot taken once, at the start: bytes appended while
+    the digest runs are not hashed, so a growing file gives the digest of
+    its first ``size`` bytes. A stream that shrinks below the snapshot
+    raises ``AshError``.
     """
     if pepper is None:
         pepper = generate_pepper(variant, rng)

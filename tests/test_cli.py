@@ -2,11 +2,15 @@
 
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import threading
 
 import pytest
+
+from ash.files import _CHUNK_HALVES
+from oracle import oracle_ash1, oracle_ash2
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
@@ -262,3 +266,51 @@ def test_challenge_malformed_first_frame(sample):
 
 def test_usage_error_exit_code():
     assert run_cli("hash", "--variant", "ash3", "x").returncode == 2
+
+
+@pytest.mark.parametrize("variant", ["ash1", "ash2"])
+def test_hash_sparse_file_matches_the_oracle(tmp_path, variant):
+    # mostly whole zero chunks, which skip the permutation and the XOR, with
+    # islands of data in both halves of the padded stream and in the tail
+    block = 64 if variant == "ash1" else 128
+    size = 5 * _CHUNK_HALVES * block + 1000
+    path = tmp_path / "sparse.bin"
+    with open(path, "wb") as handle:
+        handle.truncate(size)
+        for offset in (70_000, size // 2 + 3000, size - 10):
+            handle.seek(offset)
+            handle.write(b"island")
+    pepper = bytes(range(block))
+    text = run_cli(
+        "hash", "--variant", variant, "--pepper", pepper.hex(), "--format", "hex", str(path),
+        check=True,
+    ).stdout.decode().strip()
+    oracle = oracle_ash1 if variant == "ash1" else oracle_ash2
+    assert bytes.fromhex(text) == oracle(path.read_bytes(), pepper)
+
+
+def test_ctrl_c_exits_130_with_one_line(tmp_path):
+    fifo = tmp_path / "input.fifo"
+    os.mkfifo(fifo)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ash.cli", "hash", str(fifo)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        # opening a FIFO for writing waits for its reader, so once this
+        # returns the child is past its imports and spooling the input
+        with open(fifo, "wb") as handle:
+            handle.write(b"part of the input" * 1000)
+            handle.flush()
+            proc.send_signal(signal.SIGINT)
+        # A signal that lands just before the child blocks in read() is
+        # acted on when that read returns; closing the writer ends it.
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130
+    assert out == b""
+    assert err.decode().splitlines() == ["ash: interrupted"]

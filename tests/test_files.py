@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ash.files
 from ash.digest import create, dynamic_section, encode
 from ash.errors import AshError
 from ash.files import (
@@ -111,17 +112,17 @@ class _Unseekable(io.RawIOBase):
 
 def test_spool_within_memory_budget():
     data = random.Random(74).randbytes(10_000)
-    spool = spool_to_seekable(_Unseekable(data), memory_budget=DEFAULT_MEMORY_BUDGET)
-    assert spool.read() == data
-    spool.seek(0)
-    assert digest_stream(spool, ASH1, bytes(64)) == create(data, ASH1, bytes(64))
+    with spool_to_seekable(_Unseekable(data), memory_budget=DEFAULT_MEMORY_BUDGET) as spool:
+        assert spool.read() == data
+        spool.seek(0)
+        assert digest_stream(spool, ASH1, bytes(64)) == create(data, ASH1, bytes(64))
 
 
 def test_spool_spills_to_disk_below_budget():
     data = random.Random(75).randbytes(100_000)
-    spool = spool_to_seekable(_Unseekable(data), memory_budget=1024)
-    assert spool._rolled  # SpooledTemporaryFile went to disk
-    assert digest_stream(spool, ASH1, bytes(64)) == create(data, ASH1, bytes(64))
+    with spool_to_seekable(_Unseekable(data), memory_budget=1024) as spool:
+        assert spool._rolled  # SpooledTemporaryFile went to disk
+        assert digest_stream(spool, ASH1, bytes(64)) == create(data, ASH1, bytes(64))
 
 
 def test_tagged_encoding_identical_between_paths(tmp_path):
@@ -135,7 +136,7 @@ def test_tagged_encoding_identical_between_paths(tmp_path):
     )
 
 
-def _check_against_oracle(variant, message, pepper):
+def _check_against_oracle(variant, message, pepper, tmp_path=None):
     expected = oracle_digest(
         message, pepper, ORACLE_HASH[variant], variant.block_size, variant.length_field_size
     )
@@ -143,6 +144,10 @@ def _check_against_oracle(variant, message, pepper):
     assert encode(digest_stream(io.BytesIO(message), variant, pepper), "binary") == expected
     s = variant.section_size
     assert dynamic_section(io.BytesIO(message), variant, pepper) == expected[s : 2 * s]
+    if tmp_path is not None:
+        path = tmp_path / "message.bin"
+        path.write_bytes(message)
+        assert encode(digest_file(path, variant, pepper), "binary") == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -302,3 +307,153 @@ def test_concurrent_multi_chunk_digests_match_the_oracle():
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert results == expected
+
+
+def _zero_chunk_message(variant, case):
+    """A message of 2 * _CHUNK_HALVES + 100 padded pairs, zero except where ``case`` says.
+
+    Chunk j reads half-blocks [j * step, (j + 1) * step) as its first run
+    and [pairs + j * step, pairs + (j + 1) * step) as its second; chunk 2 is
+    the short tail, whose second run ends in the length field.
+    """
+    step, half = _CHUNK_HALVES, variant.half_size
+    pairs = 2 * step + 100
+    message = bytearray(pairs * variant.block_size - variant.length_field_size - 1)
+    rng = random.Random(f"{variant.name}-{case}")
+    first_1 = step * half  # first byte of chunk 1's first run
+    second_1 = (pairs + step) * half  # first byte of chunk 1's second run
+    run = step * half
+
+    def fill(start, stop):
+        message[start:stop] = rng.randbytes(stop - start)
+
+    if case == "only-first-half-zero":  # every first run zero, every second run not
+        fill(pairs * half, len(message))
+    elif case == "only-second-half-zero":  # every second run zero but the tail's
+        fill(0, pairs * half)
+        fill(len(message) - 10, len(message))
+    elif case == "zero-chunk-before-tail":  # chunk 0 and the tail hold data
+        fill(0, first_1)
+        fill(pairs * half, second_1)
+        fill(second_1 + run, len(message))
+    elif case == "equal-runs":  # chunk 1's runs are the same data, not zeros
+        fill(first_1, first_1 + run)
+        message[second_1 : second_1 + run] = message[first_1 : first_1 + run]
+    elif case != "all-zero":
+        offset = {
+            "first-run-first-byte": first_1,
+            "first-run-last-byte": first_1 + run - 1,
+            "second-run-first-byte": second_1,
+            "second-run-last-byte": second_1 + run - 1,
+        }[case]
+        message[offset] = 0x01
+    return bytes(message)
+
+
+@pytest.mark.parametrize("variant", [ASH1, ASH2, TOY], ids=["ash1", "ash2", "toy"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "all-zero",
+        "only-first-half-zero",
+        "only-second-half-zero",
+        "zero-chunk-before-tail",
+        "equal-runs",
+        "first-run-first-byte",
+        "first-run-last-byte",
+        "second-run-first-byte",
+        "second-run-last-byte",
+    ],
+)
+def test_zero_chunks_match_the_oracle(variant, case, tmp_path):
+    message = _zero_chunk_message(variant, case)
+    pepper = random.Random(80).randbytes(variant.pepper_size)
+    _check_against_oracle(variant, message, pepper, tmp_path)
+
+
+def test_zero_chunks_skip_the_permutation_and_the_xor(monkeypatch):
+    # of the three chunks of the all-zero message only the tail is zipped
+    # and peppered; "equal-runs" zips both chunk 1 and the tail
+    calls = []
+
+    def counted(name):
+        real = getattr(ash.files, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("interleave_runs", "apply_pepper"):
+        monkeypatch.setattr(ash.files, name, counted(name))
+    digest_stream(io.BytesIO(_zero_chunk_message(ASH1, "all-zero")), ASH1, bytes(64))
+    assert calls == ["interleave_runs", "apply_pepper"]
+    calls.clear()
+    digest_stream(io.BytesIO(_zero_chunk_message(ASH1, "equal-runs")), ASH1, bytes(64))
+    assert calls == ["interleave_runs", "apply_pepper"] * 2
+
+
+class _GrowsAfterSizing(io.BytesIO):
+    """A stream that gains bytes once its size has been taken with ``seek(0, SEEK_END)``."""
+
+    def __init__(self, data: bytes, extra: bytes):
+        super().__init__(data)
+        self._extra = extra
+
+    def seek(self, pos, whence=io.SEEK_SET):
+        end = super().seek(pos, whence)
+        if whence == io.SEEK_END and self._extra:
+            self.write(self._extra)
+            self._extra = b""
+            super().seek(end)
+        return end
+
+
+class _GrowsWhileRead(io.BytesIO):
+    """A stream that gains bytes at its end on every read, as a file being appended to."""
+
+    def read(self, n=-1):
+        out = super().read(n)
+        position = self.tell()
+        super().seek(0, io.SEEK_END)
+        self.write(b"\xff" * 1000)
+        super().seek(position)
+        return out
+
+
+@pytest.mark.parametrize("size", [200, 3 * CHUNK_BYTES + 500], ids=["one-chunk", "four-chunks"])
+@pytest.mark.parametrize("stream_type", ["grows-after-sizing", "grows-while-read"])
+def test_input_that_grows_is_hashed_at_its_snapshot_length(size, stream_type):
+    data = random.Random(82).randbytes(size)
+    if stream_type == "grows-after-sizing":
+        stream = _GrowsAfterSizing(data, b"\xff" * 5000)
+    else:
+        stream = _GrowsWhileRead(data)
+    pepper = random.Random(83).randbytes(64)
+    result = encode(digest_stream(stream, ASH1, pepper), "binary")
+    assert len(stream.getvalue()) > size  # it did grow while being hashed
+    assert result == oracle_digest(data, pepper, hashlib.sha256, 64, 8)
+
+
+class _Interrupted(io.BytesIO):
+    """A stream whose read raises KeyboardInterrupt after some reads, as Ctrl-C does."""
+
+    def __init__(self, data: bytes, reads: int):
+        super().__init__(data)
+        self._reads = reads
+
+    def read(self, n=-1):
+        self._reads -= 1
+        if self._reads <= 0:
+            raise KeyboardInterrupt
+        return super().read(n)
+
+
+def test_interrupt_mid_digest_joins_the_worker():
+    # the fifth read is in the third chunk, after the worker has started
+    threads = threading.active_count()
+    stream = _Interrupted(random.Random(84).randbytes(3 * CHUNK_BYTES + 500), reads=5)
+    with pytest.raises(KeyboardInterrupt):
+        digest_stream(stream, ASH1, bytes(64))
+    assert threading.active_count() == threads
