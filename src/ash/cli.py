@@ -9,11 +9,12 @@ I/O, or protocol errors, 130 interrupted (Ctrl-C).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import BinaryIO
 
 from . import digest as digestmod
-from . import files, protocol
+from . import files
 from .errors import AshError, DigestFormatError
 from .seasoning import combine_shares, generate_pepper
 from .variants import AshVariant, get_variant
@@ -35,6 +36,25 @@ def _open_input(path: str, memory_budget: int) -> BinaryIO:
         stream.close()
 
 
+def _write_stdout(data: bytes) -> None:
+    """Write data to standard output and flush it.
+
+    A closed or failing standard output is an I/O error (exit 2). Standard
+    output is then pointed at the null device, so the interpreter's own
+    flush at exit does not fail a second time.
+    """
+    if sys.stdout is None:
+        raise AshError("standard output is closed")
+    try:
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
+    except OSError as exc:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise AshError(f"cannot write to standard output: {exc.strerror or exc}") from None
+
+
 def _parse_pepper(hex_text: str, variant: AshVariant) -> bytes:
     try:
         pepper = bytes.fromhex(hex_text)
@@ -54,11 +74,7 @@ def _cmd_hash(args: argparse.Namespace) -> int:
     with _open_input(args.path, args.memory_budget) as stream:
         result = files.digest_stream(stream, variant, pepper)
     encoded = digestmod.encode(result, args.format)
-    if args.format == "binary":
-        sys.stdout.buffer.write(encoded)
-        sys.stdout.buffer.flush()
-    else:
-        print(encoded)
+    _write_stdout(encoded if args.format == "binary" else f"{encoded}\n".encode())
     return 0
 
 
@@ -92,7 +108,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_pepper(args: argparse.Namespace) -> int:
     variant = get_variant(args.variant)
     if args.action == "gen":
-        print(generate_pepper(variant).hex())
+        _write_stdout(f"{generate_pepper(variant).hex()}\n".encode())
         return 0
     lines = [line.strip() for line in sys.stdin if line.strip()]
     if not lines:
@@ -103,26 +119,29 @@ def _cmd_pepper(args: argparse.Namespace) -> int:
     except ValueError:
         print("ash: share lines must be hex", file=sys.stderr)
         return 2
-    print(combine_shares(shares).hex())
+    _write_stdout(f"{combine_shares(shares).hex()}\n".encode())
     return 0
 
 
 def _cmd_challenge(args: argparse.Namespace) -> int:
+    # imported here, so hash, verify and pepper never load the protocol
+    from . import protocol
+
     variant = get_variant(args.variant)
     if args.file == "-":
         raise AshError("challenge carries its frames on standard input; give the file by path")
     with _open_input(args.file, files.DEFAULT_MEMORY_BUDGET) as message:
-        stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
+        stdin = sys.stdin.buffer
 
         if args.role == "challenger":
             session = protocol.Challenger(variant)
-            protocol.write_frame(stdout, session.issue())
+            _write_stdout(protocol.encode_frame(session.issue()))
             response = protocol.read_frame(stdin)
             if response is None:
                 print("ash: peer closed the stream before responding", file=sys.stderr)
                 return 2
             verdict = session.check(response, message)
-            protocol.write_frame(stdout, verdict)
+            _write_stdout(protocol.encode_frame(verdict))
             print("ash: accept" if session.accepted else "ash: reject", file=sys.stderr)
             return 0 if session.accepted else 1
 
@@ -131,7 +150,7 @@ def _cmd_challenge(args: argparse.Namespace) -> int:
         if challenge is None:
             print("ash: peer closed the stream before challenging", file=sys.stderr)
             return 2
-        protocol.write_frame(stdout, session.answer(challenge, message))
+        _write_stdout(protocol.encode_frame(session.answer(challenge, message)))
         verdict = protocol.read_frame(stdin)
         if verdict is None:
             print("ash: peer closed the stream before the verdict", file=sys.stderr)

@@ -14,10 +14,11 @@ and drives per-session state machines; pipes or sockets are the caller's
 business.
 
 Pepper agreement: every party contributes one block and all blocks are
-XORed together, so a single honestly random participant makes the shared
-pepper random. Challenge-response: the challenger sends a fresh pepper and
-accepts only a responder who can produce the matching dynamic section,
-which requires actually holding the data.
+XORed together (``seasoning.combine_shares``), so a single honestly random
+participant makes the shared pepper random. Challenge-response: the
+challenger sends a fresh pepper and accepts only a responder who can
+produce the matching dynamic section, which requires actually holding the
+data.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import hmac
 import os
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import BinaryIO, Callable, Iterable
+from typing import BinaryIO, Callable
 
 from .digest import dynamic_section
 from .errors import (
@@ -37,7 +38,7 @@ from .errors import (
     ProtocolError,
     TruncatedFrameError,
 )
-from .seasoning import combine_shares, generate_pepper
+from .seasoning import generate_pepper
 from .variants import AshVariant
 
 MAGIC = b"ASHP"
@@ -52,6 +53,10 @@ class FrameType(IntEnum):
     VERDICT = 0x04
 
 
+# Wire byte -> member: the one check of a frame type, a dict lookup that also
+# turns a bare int into its member.
+_FRAME_TYPES = {int(t): t for t in FrameType}
+
 # Largest payload of each frame type in either variant (ASH-2 pepper and
 # section sizes); read_frame refuses a longer declared length.
 _MAX_PAYLOAD = {
@@ -64,6 +69,8 @@ _MAX_PAYLOAD = {
 
 @dataclass(frozen=True)
 class ProtocolFrame:
+    """One frame; a bare int type is stored as its ``FrameType`` member."""
+
     frame_type: FrameType
     payload: bytes
     version: int = VERSION
@@ -71,8 +78,10 @@ class ProtocolFrame:
     def __post_init__(self) -> None:
         if self.version != VERSION:
             raise BadVersionError(f"unsupported version {self.version:#x}")
-        if self.frame_type not in tuple(FrameType):
+        frame_type = _FRAME_TYPES.get(self.frame_type)
+        if frame_type is None:
             raise BadFrameTypeError(f"unknown frame type {self.frame_type:#x}")
+        object.__setattr__(self, "frame_type", frame_type)
 
 
 def encode_frame(frame: ProtocolFrame) -> bytes:
@@ -93,16 +102,16 @@ def decode_frame(data: bytes) -> tuple[ProtocolFrame, bytes]:
     version = data[4]
     if version != VERSION:
         raise BadVersionError(f"unsupported version {version:#x}")
-    frame_type = data[5]
-    if frame_type not in tuple(FrameType):
-        raise BadFrameTypeError(f"unknown frame type {frame_type:#x}")
+    frame_type = _FRAME_TYPES.get(data[5])
+    if frame_type is None:
+        raise BadFrameTypeError(f"unknown frame type {data[5]:#x}")
     length = int.from_bytes(data[6:10], "big")
     end = HEADER_SIZE + length
     if len(data) < end:
         raise TruncatedFrameError(
             f"payload declares {length} bytes but only {len(data) - HEADER_SIZE} present"
         )
-    return ProtocolFrame(FrameType(frame_type), data[HEADER_SIZE:end]), data[end:]
+    return ProtocolFrame(frame_type, data[HEADER_SIZE:end]), data[end:]
 
 
 def write_frame(stream: BinaryIO, frame: ProtocolFrame) -> None:
@@ -128,9 +137,9 @@ def read_frame(stream: BinaryIO) -> ProtocolFrame | None:
         raise BadMagicError(f"bad magic {header[:4]!r}")
     if header[4] != VERSION:
         raise BadVersionError(f"unsupported version {header[4]:#x}")
-    if header[5] not in tuple(FrameType):
+    frame_type = _FRAME_TYPES.get(header[5])
+    if frame_type is None:
         raise BadFrameTypeError(f"unknown frame type {header[5]:#x}")
-    frame_type = FrameType(header[5])
     length = int.from_bytes(header[6:10], "big")
     if length > _MAX_PAYLOAD[frame_type]:
         raise FrameError(
@@ -146,11 +155,6 @@ def read_frame(stream: BinaryIO) -> ProtocolFrame | None:
         payload[got : got + len(more)] = more
         got += len(more)
     return ProtocolFrame(frame_type, bytes(payload))
-
-
-def run_pepper_agreement(local_share: bytes, received_shares: Iterable[bytes]) -> bytes:
-    """XOR the local share with everyone else's; all parties get the same pepper."""
-    return combine_shares([local_share, *received_shares])
 
 
 class Phase(Enum):

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line tool."""
 
+import io
 import os
 import pathlib
 import signal
@@ -214,8 +215,10 @@ def _run_challenge_pair(file_challenger, file_responder, variant="ash1"):
     )
     for fd in (c2r_read, c2r_write, r2c_read, r2c_write):
         os.close(fd)
-    challenger.wait(timeout=60)
-    responder.wait(timeout=60)
+    for proc in (challenger, responder):
+        # communicate() closes the pipe; callers read the text from memory
+        _, err = proc.communicate(timeout=60)
+        proc.stderr = io.BytesIO(err)
     return challenger, responder
 
 
@@ -314,3 +317,60 @@ def test_ctrl_c_exits_130_with_one_line(tmp_path):
     assert proc.returncode == 130
     assert out == b""
     assert err.decode().splitlines() == ["ash: interrupted"]
+
+
+OUTPUT_COMMANDS = {
+    "hash-tagged": ["hash", "{file}"],
+    "hash-binary": ["hash", "--format", "binary", "{file}"],
+    "pepper-gen": ["pepper", "gen"],
+    "pepper-combine": ["pepper", "combine"],
+    "challenger": ["challenge", "--role", "challenger", "{file}"],
+}
+
+
+def _run_with_stdout(command, sample, stdout):
+    """Run one command whose standard output is closed, full or a broken pipe."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PYTHONUNBUFFERED", None)  # buffered, as a user's shell runs it
+    argv = [sys.executable, "-m", "ash.cli"] + [
+        a.format(file=sample) for a in OUTPUT_COMMANDS[command]
+    ]
+    stdin = ("aa" * 64 + "\n").encode() if command == "pepper-combine" else b""
+    if stdout == "closed":
+        argv = ["/bin/sh", "-c", 'exec "$@" >&-', "sh", *argv]
+        return subprocess.run(argv, input=stdin, capture_output=True, env=env, timeout=60)
+    if stdout == "full":
+        with open("/dev/full", "wb") as full:
+            return subprocess.run(
+                argv, input=stdin, stdout=full, stderr=subprocess.PIPE, env=env, timeout=60
+            )
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody will ever read: every write fails with EPIPE
+    try:
+        return subprocess.run(
+            argv, input=stdin, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60
+        )
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("stdout", ["closed", "full", "broken-pipe"])
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_unwritable_stdout_exits_2_with_one_line(sample, command, stdout):
+    if stdout == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    result = _run_with_stdout(command, sample, stdout)
+    assert result.returncode == 2, result.stderr
+    lines = result.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ash: "), lines
+
+
+def test_importing_the_cli_leaves_the_protocol_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import sys, ash.cli; print('ash.protocol' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=env, timeout=60, check=True
+    )
+    assert result.stdout.decode().strip() == "False"

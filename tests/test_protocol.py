@@ -22,7 +22,6 @@ from ash.protocol import (
     decode_frame,
     encode_frame,
     read_frame,
-    run_pepper_agreement,
     verdict_accepted,
 )
 from ash.seasoning import combine_shares
@@ -129,6 +128,49 @@ def test_read_frame_assembles_a_payload_from_short_reads():
         read_frame(Trickle(encode_frame(frame)[:-1]))
 
 
+def test_every_type_byte_is_checked_against_the_frame_types():
+    for type_byte in range(256):
+        raw = b"ASHP\x01" + bytes((type_byte,)) + (1).to_bytes(4, "big") + b"\x01"
+        stream = _RecordingStream(raw)
+        if 1 <= type_byte <= 4:
+            member = FrameType(type_byte)
+            decoded, rest = decode_frame(raw)
+            assert decoded.frame_type is member and rest == b""
+            assert read_frame(stream).frame_type is member
+            assert ProtocolFrame(type_byte, b"\x01").frame_type is member
+            assert ProtocolFrame(type_byte, b"\x01") == ProtocolFrame(member, b"\x01")
+            continue
+        message = f"^unknown frame type {type_byte:#x}$"
+        with pytest.raises(BadFrameTypeError, match=message):
+            decode_frame(raw)
+        with pytest.raises(BadFrameTypeError, match=message):
+            read_frame(stream)
+        assert stream.requests == [HEADER_SIZE]  # refused before any payload byte
+        with pytest.raises(BadFrameTypeError, match=message):
+            ProtocolFrame(type_byte, b"\x01")
+
+
+def test_frame_checks_run_in_wire_order():
+    # magic, version, type, length bound, truncation: each raw header breaks
+    # every later check too, so only the earliest one may report
+    cases = [
+        (b"JUNK\x02\x09" + (999).to_bytes(4, "big"), BadMagicError),
+        (b"ASHP\x02\x09" + (999).to_bytes(4, "big"), BadVersionError),
+        (b"ASHP\x01\x09" + (999).to_bytes(4, "big"), BadFrameTypeError),
+    ]
+    for raw, error in cases:
+        with pytest.raises(error):
+            decode_frame(raw)
+        with pytest.raises(error):
+            read_frame(_RecordingStream(raw))
+    too_long = b"ASHP\x01\x04" + (2).to_bytes(4, "big")
+    with pytest.raises(FrameError) as caught:
+        read_frame(_RecordingStream(too_long))
+    assert type(caught.value) is FrameError and "VERDICT" in str(caught.value)
+    with pytest.raises(TruncatedFrameError):
+        read_frame(_RecordingStream(too_long[:-2] + (1).to_bytes(2, "big")))
+
+
 def test_frame_constructor_validates():
     with pytest.raises(BadFrameTypeError):
         ProtocolFrame(0x07, b"")
@@ -139,22 +181,20 @@ def test_frame_constructor_validates():
 def test_pepper_agreement_two_parties():
     rng = random.Random(52)
     a, b = rng.randbytes(64), rng.randbytes(64)
-    ours = run_pepper_agreement(a, [b])
-    theirs = run_pepper_agreement(b, [a])
-    assert ours == theirs == combine_shares([a, b])
+    ours = combine_shares([a, b])
+    theirs = combine_shares([b, a])
+    assert ours == theirs == bytes(x ^ y for x, y in zip(a, b))
 
 
 def test_pepper_agreement_alone_returns_own_share():
     share = random.Random(53).randbytes(64)
-    assert run_pepper_agreement(share, []) == share
+    assert combine_shares([share]) == share
 
 
 def test_pepper_agreement_order_invariant():
     rng = random.Random(54)
     shares = [rng.randbytes(64) for _ in range(4)]
-    assert run_pepper_agreement(shares[0], shares[1:]) == run_pepper_agreement(
-        shares[3], shares[2::-1]
-    )
+    assert combine_shares(shares) == combine_shares([shares[3], *shares[2::-1]])
 
 
 @pytest.mark.parametrize("variant", [ASH1, ASH2], ids=["ash1", "ash2"])
@@ -279,3 +319,31 @@ def test_verdict_parsing():
         verdict_accepted(ProtocolFrame(FrameType.VERDICT, b"\x02"))
     with pytest.raises(ProtocolError):
         verdict_accepted(ProtocolFrame(FrameType.RESPONSE, b"\x01"))
+
+
+def test_frames_built_from_bare_ints_are_refused_as_protocol_errors():
+    # a bare int type used to stay an int, and the error message read .name
+    with pytest.raises(ProtocolError, match="got RESPONSE"):
+        Responder(ASH1).answer(ProtocolFrame(3, bytes(64)), b"x")
+    challenger = Challenger(ASH1)
+    challenger.issue()
+    with pytest.raises(ProtocolError, match="got CHALLENGE"):
+        challenger.check(ProtocolFrame(2, bytes(32)), b"x")
+    with pytest.raises(ProtocolError, match="got PEPPER_SHARE"):
+        verdict_accepted(ProtocolFrame(1, b"\x01"))
+
+
+@pytest.mark.parametrize("variant", [ASH1, ASH2], ids=["ash1", "ash2"])
+def test_frames_built_from_bare_ints_are_answered_like_members(variant):
+    message = b"the same bytes on both ends"
+    pepper = bytes(range(variant.pepper_size))
+    by_int = Responder(variant).answer(ProtocolFrame(2, pepper), message)
+    by_member = Responder(variant).answer(ProtocolFrame(FrameType.CHALLENGE, pepper), message)
+    assert by_int == by_member and by_int.frame_type is FrameType.RESPONSE
+
+    challenger = Challenger(variant, rng=lambda n: pepper[:n])
+    challenger.issue()
+    verdict = challenger.check(ProtocolFrame(3, by_int.payload), message)
+    assert challenger.accepted is True
+    assert verdict_accepted(ProtocolFrame(4, verdict.payload)) is True
+    assert verdict_accepted(ProtocolFrame(4, b"\x00")) is False
