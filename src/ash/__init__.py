@@ -40,7 +40,6 @@ from .errors import (
 from .hashes import BlockHashFunction, sha256, sha512
 from .restructure import interleave, pad_message
 from .seasoning import (
-    append_salt,
     apply_pepper,
     combine_shares,
     generate_pepper,
@@ -66,7 +65,6 @@ __all__ = [
     "ProtocolError",
     "SizeMismatchError",
     "TruncatedFrameError",
-    "append_salt",
     "apply_pepper",
     "combine_shares",
     "create",

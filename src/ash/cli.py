@@ -11,22 +11,32 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import BinaryIO
+from typing import BinaryIO, Iterator
 
 from . import digest as digestmod
 from . import files
 from .errors import AshError, DigestFormatError
 from .seasoning import combine_shares, generate_pepper
-from .variants import AshVariant, get_variant
+from .variants import ASH2, AshVariant, get_variant
 
 # Largest digest file read for ``verify @FILE``: an ASH-2 tagged digest is
 # 5 + 512 characters, so anything longer than this is not one.
 _DIGEST_FILE_LIMIT = 4096
 
+# Longest share line, line ending aside: an ASH-2 pepper in hex.
+_SHARE_LINE_LIMIT = 2 * ASH2.pepper_size
+
+
+def _stdin() -> BinaryIO:
+    """Standard input as bytes; a closed standard input is an I/O error (exit 2)."""
+    if sys.stdin is None:
+        raise AshError("standard input is closed")
+    return sys.stdin.buffer
+
 
 def _open_input(path: str, memory_budget: int) -> BinaryIO:
     if path == "-":
-        return files.spool_to_seekable(sys.stdin.buffer, memory_budget)
+        return files.spool_to_seekable(_stdin(), memory_budget)
     stream = open(path, "rb")
     if stream.seekable():
         return stream
@@ -105,21 +115,32 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
+def _read_shares(stream: BinaryIO) -> Iterator[bytes]:
+    """Each non-blank line of ``stream`` as hex, read one bounded line at a time."""
+    # room for a "\r\n" ending; a longer line is still longer once it is stripped
+    while line := stream.readline(_SHARE_LINE_LIMIT + 2):
+        text = line.rstrip(b"\r\n")
+        if len(text) > _SHARE_LINE_LIMIT:
+            raise AshError(f"share lines must be at most {_SHARE_LINE_LIMIT} characters")
+        if text.strip():
+            try:
+                share = bytes.fromhex(text.decode("ascii"))
+            except ValueError:
+                raise AshError("share lines must be hex") from None
+            yield share
+
+
 def _cmd_pepper(args: argparse.Namespace) -> int:
     variant = get_variant(args.variant)
     if args.action == "gen":
         _write_stdout(f"{generate_pepper(variant).hex()}\n".encode())
         return 0
-    lines = [line.strip() for line in sys.stdin if line.strip()]
-    if not lines:
+    try:
+        combined = combine_shares(_read_shares(_stdin()))
+    except ValueError:  # the one ValueError combine_shares raises: no share at all
         print("ash: no shares on standard input", file=sys.stderr)
         return 2
-    try:
-        shares = [bytes.fromhex(line) for line in lines]
-    except ValueError:
-        print("ash: share lines must be hex", file=sys.stderr)
-        return 2
-    _write_stdout(f"{combine_shares(shares).hex()}\n".encode())
+    _write_stdout(f"{combined.hex()}\n".encode())
     return 0
 
 
@@ -130,9 +151,8 @@ def _cmd_challenge(args: argparse.Namespace) -> int:
     variant = get_variant(args.variant)
     if args.file == "-":
         raise AshError("challenge carries its frames on standard input; give the file by path")
+    stdin = _stdin()
     with _open_input(args.file, files.DEFAULT_MEMORY_BUDGET) as message:
-        stdin = sys.stdin.buffer
-
         if args.role == "challenger":
             session = protocol.Challenger(variant)
             _write_stdout(protocol.encode_frame(session.issue()))

@@ -20,9 +20,8 @@ stays flat whatever the message size.
 from __future__ import annotations
 
 import hmac
-import os
 from dataclasses import dataclass
-from typing import BinaryIO, Callable
+from typing import BinaryIO
 
 from .errors import DigestFormatError, SizeMismatchError
 from .files import _sections
@@ -59,14 +58,14 @@ class AshDigest:
 
 
 def create(
-    message: bytes,
-    variant: AshVariant = ASH1,
-    pepper: bytes | None = None,
-    rng: Callable[[int], bytes] = os.urandom,
+    message: bytes | BinaryIO, variant: AshVariant = ASH1, pepper: bytes | None = None
 ) -> AshDigest:
-    """Hash a message, drawing a fresh random pepper unless one is supplied."""
+    """Hash a message, drawing a fresh random pepper unless one is supplied.
+
+    ``message`` is bytes or a seekable binary stream, hashed from offset 0.
+    """
     if pepper is None:
-        pepper = generate_pepper(variant, rng)
+        pepper = generate_pepper(variant)
     static, dynamic = _sections(message, variant, pepper)
     return AshDigest(variant, static, dynamic, pepper)
 
@@ -86,17 +85,13 @@ def sections_match(computed: AshDigest, claimed: AshDigest) -> bool:
     return ok_static and ok_dynamic
 
 
-def verify(message: bytes, claimed: AshDigest) -> bool:
+def verify(message: bytes | BinaryIO, claimed: AshDigest) -> bool:
     """Recompute with the embedded pepper; both sections must match."""
     recomputed = create(message, claimed.variant, claimed.pepper)
     return sections_match(recomputed, claimed)
 
 
-def create_pair(
-    message: bytes,
-    variant: AshVariant = ASH1,
-    rng: Callable[[int], bytes] = os.urandom,
-) -> tuple[AshDigest, AshDigest]:
+def create_pair(message: bytes, variant: AshVariant = ASH1) -> tuple[AshDigest, AshDigest]:
     """A public digest and a second one to store somewhere safe.
 
     Same static section, independent peppers. Keeping the second digest
@@ -104,7 +99,7 @@ def create_pair(
     if the published digest is ever matched by forged data, since matching
     data cannot be pre-created without knowing the private pepper.
     """
-    return create(message, variant, rng=rng), create(message, variant, rng=rng)
+    return create(message, variant), create(message, variant)
 
 
 def encode(digest: AshDigest, form: str = "tagged") -> bytes | str:

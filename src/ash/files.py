@@ -23,12 +23,12 @@ import io
 import os
 import shutil
 import tempfile
-from typing import Any, BinaryIO, Callable
+from typing import Any, BinaryIO
 
 from . import digest
 from .errors import AshError, SizeMismatchError
 from .restructure import interleave_runs, pad_suffix
-from .seasoning import apply_pepper, generate_pepper
+from .seasoning import apply_pepper
 from .variants import AshVariant
 
 DEFAULT_MEMORY_BUDGET = 256 * 1024 * 1024
@@ -181,10 +181,7 @@ class _HashWorker:
 
 
 def digest_stream(
-    stream: BinaryIO,
-    variant: AshVariant,
-    pepper: bytes | None = None,
-    rng: Callable[[int], bytes] = os.urandom,
+    stream: BinaryIO, variant: AshVariant, pepper: bytes | None = None
 ) -> digest.AshDigest:
     """Digest a seekable binary stream with bounded memory.
 
@@ -194,20 +191,14 @@ def digest_stream(
     its first ``size`` bytes. A stream that shrinks below the snapshot
     raises ``AshError``.
     """
-    if pepper is None:
-        pepper = generate_pepper(variant, rng)
-    static, dynamic = _sections(stream, variant, pepper)
-    return digest.AshDigest(variant, static, dynamic, pepper)
+    return digest.create(stream, variant, pepper)
 
 
 def digest_file(
-    path: str | os.PathLike,
-    variant: AshVariant,
-    pepper: bytes | None = None,
-    rng: Callable[[int], bytes] = os.urandom,
+    path: str | os.PathLike, variant: AshVariant, pepper: bytes | None = None
 ) -> digest.AshDigest:
     with open(path, "rb") as stream:
-        return digest_stream(stream, variant, pepper, rng)
+        return digest_stream(stream, variant, pepper)
 
 
 def spool_to_seekable(source: BinaryIO, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> BinaryIO:

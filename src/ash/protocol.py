@@ -93,19 +93,23 @@ def encode_frame(frame: ProtocolFrame) -> bytes:
     )
 
 
+def _check_header(header: bytes) -> tuple[FrameType, int]:
+    """Check magic, then version, then type; return the type and the declared length."""
+    if header[:4] != MAGIC:
+        raise BadMagicError(f"bad magic {header[:4]!r}")
+    if header[4] != VERSION:
+        raise BadVersionError(f"unsupported version {header[4]:#x}")
+    frame_type = _FRAME_TYPES.get(header[5])
+    if frame_type is None:
+        raise BadFrameTypeError(f"unknown frame type {header[5]:#x}")
+    return frame_type, int.from_bytes(header[6:HEADER_SIZE], "big")
+
+
 def decode_frame(data: bytes) -> tuple[ProtocolFrame, bytes]:
     """Consume exactly one frame; return it with the unread remainder."""
     if len(data) < HEADER_SIZE:
         raise TruncatedFrameError(f"{len(data)} bytes is shorter than a frame header")
-    if data[:4] != MAGIC:
-        raise BadMagicError(f"bad magic {data[:4]!r}")
-    version = data[4]
-    if version != VERSION:
-        raise BadVersionError(f"unsupported version {version:#x}")
-    frame_type = _FRAME_TYPES.get(data[5])
-    if frame_type is None:
-        raise BadFrameTypeError(f"unknown frame type {data[5]:#x}")
-    length = int.from_bytes(data[6:10], "big")
+    frame_type, length = _check_header(data)
     end = HEADER_SIZE + length
     if len(data) < end:
         raise TruncatedFrameError(
@@ -133,14 +137,7 @@ def read_frame(stream: BinaryIO) -> ProtocolFrame | None:
             raise TruncatedFrameError("stream ended inside a frame header")
         header += more
     # validate the header before trusting its length field
-    if header[:4] != MAGIC:
-        raise BadMagicError(f"bad magic {header[:4]!r}")
-    if header[4] != VERSION:
-        raise BadVersionError(f"unsupported version {header[4]:#x}")
-    frame_type = _FRAME_TYPES.get(header[5])
-    if frame_type is None:
-        raise BadFrameTypeError(f"unknown frame type {header[5]:#x}")
-    length = int.from_bytes(header[6:10], "big")
+    frame_type, length = _check_header(header)
     if length > _MAX_PAYLOAD[frame_type]:
         raise FrameError(
             f"{frame_type.name} frame declares {length} payload bytes, "
@@ -155,6 +152,18 @@ def read_frame(stream: BinaryIO) -> ProtocolFrame | None:
         payload[got : got + len(more)] = more
         got += len(more)
     return ProtocolFrame(frame_type, bytes(payload))
+
+
+def _expect(frame: ProtocolFrame, frame_type: FrameType, size: int | None = None) -> None:
+    """Refuse a frame of another type or, given a size, another payload size."""
+    if frame.frame_type is not frame_type:
+        raise ProtocolError(
+            f"expected a {frame_type.name.lower()} frame, got {frame.frame_type.name}"
+        )
+    if size is not None and len(frame.payload) != size:
+        raise ProtocolError(
+            f"{frame_type.name.lower()} carries {len(frame.payload)} bytes, wanted {size}"
+        )
 
 
 class Phase(Enum):
@@ -193,13 +202,7 @@ class Challenger:
         """Compare the response against the local copy; emit the verdict frame."""
         if self.phase is not Phase.AWAITING_RESPONSE:
             raise ProtocolError(f"cannot check a response in phase {self.phase.value}")
-        if response.frame_type is not FrameType.RESPONSE:
-            raise ProtocolError(f"expected a response frame, got {response.frame_type.name}")
-        if len(response.payload) != self.variant.section_size:
-            raise ProtocolError(
-                f"response carries {len(response.payload)} bytes, "
-                f"wanted {self.variant.section_size}"
-            )
+        _expect(response, FrameType.RESPONSE, self.variant.section_size)
         expected = dynamic_section(message, self.variant, self.pepper)
         accepted = hmac.compare_digest(expected, response.payload)
         self.accepted = accepted
@@ -220,13 +223,7 @@ class Responder:
     def answer(self, challenge: ProtocolFrame, message: bytes | BinaryIO) -> ProtocolFrame:
         if self.phase is not Phase.AWAITING_CHALLENGE:
             raise ProtocolError(f"cannot answer a challenge in phase {self.phase.value}")
-        if challenge.frame_type is not FrameType.CHALLENGE:
-            raise ProtocolError(f"expected a challenge frame, got {challenge.frame_type.name}")
-        if len(challenge.payload) != self.variant.pepper_size:
-            raise ProtocolError(
-                f"challenge carries {len(challenge.payload)} bytes, "
-                f"wanted {self.variant.pepper_size}"
-            )
+        _expect(challenge, FrameType.CHALLENGE, self.variant.pepper_size)
         section = dynamic_section(message, self.variant, challenge.payload)
         self.phase = Phase.DONE
         return ProtocolFrame(FrameType.RESPONSE, section)
@@ -234,8 +231,7 @@ class Responder:
 
 def verdict_accepted(frame: ProtocolFrame) -> bool:
     """Read a verdict frame; True means the challenger accepted."""
-    if frame.frame_type is not FrameType.VERDICT:
-        raise ProtocolError(f"expected a verdict frame, got {frame.frame_type.name}")
+    _expect(frame, FrameType.VERDICT)
     if frame.payload == b"\x01":
         return True
     if frame.payload == b"\x00":

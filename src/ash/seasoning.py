@@ -57,11 +57,12 @@ def combine_shares(shares: Iterable[bytes]) -> bytes:
     One uniformly random share makes the result uniformly random, the same
     argument that makes a one-time pad work.
     """
-    shares = list(shares)
-    if not shares:
+    shares = iter(shares)
+    first = next(shares, None)
+    if first is None:
         raise ValueError("at least one share is required")
-    size = len(shares[0])
-    acc = 0
+    size = len(first)
+    acc = int.from_bytes(first, "big")
     for share in shares:
         if len(share) != size:
             raise SizeMismatchError(
@@ -79,8 +80,3 @@ def make_salt(half_a: bytes, half_b: bytes, variant: AshVariant) -> bytes:
             f"got {len(half_a)} and {len(half_b)}"
         )
     return half_a + half_b
-
-
-def append_salt(message: bytes, salt: bytes) -> bytes:
-    """Append the salt to the message; hashing then proceeds normally."""
-    return message + salt

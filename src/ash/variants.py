@@ -55,11 +55,10 @@ ASH1 = AshVariant(name="ASH-1", tag="ash1", base=sha256(), length_field_size=8)
 ASH2 = AshVariant(name="ASH-2", tag="ash2", base=sha512(), length_field_size=16)
 
 _REGISTRY = {v.tag: v for v in (ASH1, ASH2)}
-_REGISTRY.update({v.name.lower(): v for v in (ASH1, ASH2)})
 
 
 def get_variant(name: str) -> AshVariant:
-    """Look up a standard variant by tag ("ash1") or name ("ASH-1")."""
+    """Look up a standard variant by its tag, "ash1" or "ash2", in any case."""
     try:
         return _REGISTRY[name.lower()]
     except KeyError:

@@ -16,14 +16,24 @@ from oracle import oracle_ash1, oracle_ash2
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args, stdin=None, check=False, timeout=None):
+def _cli_env():
+    """The caller's environment with ``src`` on the path and stdout buffered.
+
+    A caller may set PYTHONUNBUFFERED; an unbuffered stdout would hide a
+    missing flush, so the CLI runs buffered, as a user's shell runs it.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def run_cli(*args, stdin=None, check=False, timeout=None):
     result = subprocess.run(
         [sys.executable, "-m", "ash.cli", *args],
         input=stdin,
         capture_output=True,
-        env=env,
+        env=_cli_env(),
         timeout=timeout,
     )
     if check and result.returncode != 0:
@@ -199,9 +209,40 @@ def test_pepper_combine_mixed_lengths_fails():
     assert run_cli("pepper", "combine", stdin=stdin).returncode == 2
 
 
+def test_pepper_combine_takes_a_full_ash2_share_and_refuses_one_character_more():
+    share = "c3" * 128  # 256 characters, the longest share
+    for ending in ("\n", "\r\n", ""):
+        result = run_cli("pepper", "combine", stdin=f"{share}{ending}".encode(), check=True)
+        assert result.stdout.decode().strip() == share
+    for line in (share + "0\n", share + "0\r\n"):
+        result = run_cli("pepper", "combine", stdin=line.encode())
+        assert result.returncode == 2
+        assert result.stderr.decode().splitlines() == [
+            "ash: share lines must be at most 256 characters"
+        ]
+
+
+@pytest.mark.parametrize("source", ["dev-zero", "10-MB-line"])
+def test_pepper_combine_refuses_endless_input_in_bounded_memory(source, tmp_path):
+    if source == "dev-zero":
+        path = "/dev/zero"
+    else:
+        path = tmp_path / "line.txt"
+        path.write_bytes(b"a" * 10_000_000)
+    # capped address space: a reader that holds its input fails at once
+    # instead of growing for as long as the input lasts
+    argv = ["/bin/sh", "-c", 'ulimit -v 400000 && exec "$@"', "sh"]
+    argv += [sys.executable, "-m", "ash.cli", "pepper", "combine"]
+    with open(path, "rb") as stdin:
+        result = subprocess.run(argv, stdin=stdin, capture_output=True, env=_cli_env(), timeout=60)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.decode().splitlines() == [
+        "ash: share lines must be at most 256 characters"
+    ]
+
+
 def _run_challenge_pair(file_challenger, file_responder, variant="ash1"):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env = _cli_env()
     base = [sys.executable, "-m", "ash.cli", "challenge", "--variant", variant]
     c2r_read, c2r_write = os.pipe()
     r2c_read, r2c_write = os.pipe()
@@ -295,8 +336,7 @@ def test_hash_sparse_file_matches_the_oracle(tmp_path, variant):
 def test_ctrl_c_exits_130_with_one_line(tmp_path):
     fifo = tmp_path / "input.fifo"
     os.mkfifo(fifo)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env = _cli_env()
     proc = subprocess.Popen(
         [sys.executable, "-m", "ash.cli", "hash", str(fifo)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
@@ -330,9 +370,7 @@ OUTPUT_COMMANDS = {
 
 def _run_with_stdout(command, sample, stdout):
     """Run one command whose standard output is closed, full or a broken pipe."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("PYTHONUNBUFFERED", None)  # buffered, as a user's shell runs it
+    env = _cli_env()
     argv = [sys.executable, "-m", "ash.cli"] + [
         a.format(file=sample) for a in OUTPUT_COMMANDS[command]
     ]
@@ -367,10 +405,31 @@ def test_unwritable_stdout_exits_2_with_one_line(sample, command, stdout):
 
 
 def test_importing_the_cli_leaves_the_protocol_unloaded():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env = _cli_env()
     code = "import sys, ash.cli; print('ash.protocol' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, env=env, timeout=60, check=True
     )
     assert result.stdout.decode().strip() == "False"
+
+
+CLOSED_STDIN_COMMANDS = {
+    "hash": ["hash", "-"],
+    "pepper-combine": ["pepper", "combine"],
+    "challenger": ["challenge", "--role", "challenger", "{file}"],
+    "responder": ["challenge", "--role", "responder", "{file}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLOSED_STDIN_COMMANDS))
+def test_closed_stdin_exits_2_with_one_line(sample, command):
+    argv = [sys.executable, "-m", "ash.cli"] + [
+        a.format(file=sample) for a in CLOSED_STDIN_COMMANDS[command]
+    ]
+    result = subprocess.run(
+        ["/bin/sh", "-c", 'exec "$@" <&-', "sh", *argv],
+        capture_output=True, env=_cli_env(), timeout=60,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == b""
+    assert result.stderr.decode().splitlines() == ["ash: standard input is closed"]

@@ -6,13 +6,7 @@ import pytest
 
 from ash.digest import create
 from ash.errors import SizeMismatchError
-from ash.seasoning import (
-    append_salt,
-    apply_pepper,
-    combine_shares,
-    generate_pepper,
-    make_salt,
-)
+from ash.seasoning import apply_pepper, combine_shares, generate_pepper, make_salt
 from ash.variants import ASH1, ASH2
 
 
@@ -113,6 +107,14 @@ def test_one_random_share_masks_the_rest():
         )
 
 
+def test_combine_over_a_generator_matches_a_list():
+    rng = random.Random(27)
+    shares = [rng.randbytes(64) for _ in range(5)]
+    assert combine_shares(share for share in shares) == combine_shares(shares)
+    with pytest.raises(ValueError):
+        combine_shares(share for share in ())
+
+
 def test_combine_rejects_empty_and_mixed():
     with pytest.raises(ValueError):
         combine_shares([])
@@ -133,24 +135,21 @@ def test_make_salt_rejects_wrong_half_size():
         make_salt(bytes(32), bytes(33), ASH1)
 
 
-def test_append_salt_lengths():
-    salt = make_salt(bytes(32), bytes(32), ASH1)
-    assert append_salt(b"", salt) == salt
-    message = b"payload"
-    assert append_salt(message, salt) == message + salt
-    assert len(append_salt(message, salt)) == len(message) + 64
-
-
 def test_salted_comparison_between_two_parties():
     # both parties append the jointly built salt and hash with the same
     # pepper: equal files agree, different files do not
     rng = random.Random(26)
     for _ in range(20):
         message = rng.randbytes(rng.randrange(0, 500))
-        salt = make_salt(rng.randbytes(32), rng.randbytes(32), ASH1)
+        half_a, half_b = rng.randbytes(32), rng.randbytes(32)
+        salt = make_salt(half_a, half_b, ASH1)
+        salted = message + salt
+        # the salt is one block, laid out after the message, half_a first
+        assert len(salted) == len(message) + ASH1.block_size
+        assert salted[len(message) :] == half_a + half_b
         pepper = rng.randbytes(64)
-        ours = create(append_salt(message, salt), ASH1, pepper)
-        theirs = create(append_salt(message, salt), ASH1, pepper)
+        ours = create(salted, ASH1, pepper)
+        theirs = create(message + salt, ASH1, pepper)
         assert ours == theirs
-        tampered = create(append_salt(message + b"!", salt), ASH1, pepper)
+        tampered = create(message + b"!" + salt, ASH1, pepper)
         assert tampered.static_section != ours.static_section
