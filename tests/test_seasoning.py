@@ -135,6 +135,16 @@ def test_make_salt_rejects_wrong_half_size():
         make_salt(bytes(32), bytes(33), ASH1)
 
 
+def test_append_salt_lengths():
+    # a salted message is message + salt: the salt alone for an empty
+    # message, one block more than the message otherwise
+    salt = make_salt(bytes(32), bytes(32), ASH1)
+    assert b"" + salt == salt
+    message = b"payload"
+    assert len(message + salt) == len(message) + ASH1.block_size
+    assert (message + salt)[len(message) :] == salt
+
+
 def test_salted_comparison_between_two_parties():
     # both parties append the jointly built salt and hash with the same
     # pepper: equal files agree, different files do not
