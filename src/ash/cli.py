@@ -115,8 +115,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
-def _read_shares(stream: BinaryIO) -> Iterator[bytes]:
-    """Each non-blank line of ``stream`` as hex, read one bounded line at a time."""
+def _read_shares(stream: BinaryIO, variant: AshVariant) -> Iterator[bytes]:
+    """Each non-blank line of ``stream`` as a hex share of one ``variant`` pepper.
+
+    Lines are read one bounded line at a time, and a share of any other
+    length than the variant's pepper is refused.
+    """
     # room for a "\r\n" ending; a longer line is still longer once it is stripped
     while line := stream.readline(_SHARE_LINE_LIMIT + 2):
         text = line.rstrip(b"\r\n")
@@ -127,6 +131,11 @@ def _read_shares(stream: BinaryIO) -> Iterator[bytes]:
                 share = bytes.fromhex(text.decode("ascii"))
             except ValueError:
                 raise AshError("share lines must be hex") from None
+            if len(share) != variant.pepper_size:
+                raise AshError(
+                    f"a share is {len(share)} bytes; {variant.name} shares are "
+                    f"{variant.pepper_size} bytes ({2 * variant.pepper_size} hex chars)"
+                )
             yield share
 
 
@@ -136,7 +145,7 @@ def _cmd_pepper(args: argparse.Namespace) -> int:
         _write_stdout(f"{generate_pepper(variant).hex()}\n".encode())
         return 0
     try:
-        combined = combine_shares(_read_shares(_stdin()))
+        combined = combine_shares(_read_shares(_stdin(), variant))
     except ValueError:  # the one ValueError combine_shares raises: no share at all
         print("ash: no shares on standard input", file=sys.stderr)
         return 2

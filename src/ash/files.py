@@ -7,10 +7,13 @@ first-half region (halves 1..N) and the second-half region (halves
 N+1..2N) with two read cursors in lockstep; each pair of runs is zipped,
 peppered with a mask built once per call, and fed to the section hashes;
 a whole chunk of zeros skips the zip and the XOR, whose results it knows.
-An input longer than one chunk has its dynamic hash updated on one worker
-thread (hashlib releases the interpreter lock while it hashes), so the
-dynamic SHA pass overlaps the reads, the permutation, the XOR and the
-static pass on the calling thread; a bounded hand-off keeps peak memory a
+An input longer than one chunk starts one worker thread that owns the
+dynamic hash. The calling thread reads and zips each chunk, hands it to
+the worker, and then runs the static SHA pass over it, with the
+interpreter lock released (hashlib drops it while it hashes); meanwhile the
+worker XORs the chunk with the pepper and runs the dynamic SHA pass. With
+no static pass (``dynamic_section``) the caller keeps the XOR, and the
+worker only hashes. A one-slot hand-off keeps peak memory a
 few chunk buffers whatever the input size. ``digest_stream`` and
 ``digest_file`` here and ``create``, ``verify`` and ``dynamic_section``
 in ``ash.digest`` (and through them the challenge sessions and the CLI)
@@ -36,6 +39,34 @@ DEFAULT_MEMORY_BUDGET = 256 * 1024 * 1024
 # Half-block pairs per chunk: 128 KiB (ASH-1) or 256 KiB (ASH-2) chunks, so
 # the few chunk buffers in flight fit in one core's L2 cache.
 _CHUNK_HALVES = 2048
+
+# The largest block _keep_chunk_pages has freed in this process.
+_kept_block = 0
+
+
+def _keep_chunk_pages(chunk_bytes: int) -> None:
+    """Stop glibc from handing the chunk buffers of a digest back to the OS.
+
+    Each chunk allocates and frees buffers of 64-280 KiB (the runs, the
+    zipped segment, the XOR's big integers). glibc gives free heap memory
+    back to the OS once more than its trim threshold (a few hundred KiB)
+    is free at the top of the heap, so each chunk faulted its pages in
+    afresh: 25-60 page faults per chunk, 1-15% of the time, more or fewer
+    with every change to the order of the allocations. Freeing one block
+    that glibc had to map raises its map threshold to that block's size
+    and its trim threshold to twice that (mallopt(3), M_MMAP_THRESHOLD).
+    A block of six chunks, about what a digest holds at its peak, puts the
+    trim threshold above all the chunk buffers in flight, so they are
+    reused in place. ``bytes(n)`` gets fresh zeroed pages from calloc and
+    never touches them, so this costs no resident memory; under other
+    allocators it only frees a block. Each process does it once per
+    larger chunk size.
+    """
+    global _kept_block
+    block = 6 * chunk_bytes
+    if block > _kept_block:
+        _kept_block = block
+        bytes(block)
 
 
 class _PaddedView:
@@ -103,7 +134,10 @@ def _sections(
 
     static_hash = variant.base.new() if static else None
     dynamic_hash = variant.base.new()
-    worker = _HashWorker(dynamic_hash) if pairs > step else None
+    worker = None
+    if pairs > step:
+        _keep_chunk_pages(full)
+        worker = _HashWorker(dynamic_hash, pepper)
     update = dynamic_hash.update if worker is None else worker.put
     try:
         for k in range(0, pairs, step):
@@ -124,13 +158,21 @@ def _sections(
                     update(tiled)
                     continue
             segment = interleave_runs(first, second, half)
-            if static_hash is not None:
-                static_hash.update(segment)
             # the short last chunk takes the leading bytes of the tile; a
             # zero shift would copy the whole mask
             n = len(segment)
             tile = mask if n == full else mask >> 8 * (full - n)
-            update(apply_pepper(segment, pepper, mask=tile))
+            if worker is not None and static_hash is not None:
+                # Handed off first, so the worker's XOR runs while this
+                # thread runs the static pass with the interpreter lock
+                # released.
+                worker.put(segment, tile)
+                static_hash.update(segment)
+            else:
+                # one chunk, or no static pass to overlap: the XOR stays here
+                if static_hash is not None:
+                    static_hash.update(segment)
+                update(apply_pepper(segment, pepper, mask=tile))
     finally:
         # an error raised in the loop takes precedence over the worker's
         failure = worker.close() if worker is not None else None
@@ -140,20 +182,25 @@ def _sections(
 
 
 class _HashWorker:
-    """One thread that runs ``hash_obj.update`` on each chunk given to ``put``, in order.
+    """One thread that peppers and hashes the chunks given to ``put``, in order.
 
-    At most one chunk waits in the hand-off between the threads. ``close``
-    must follow the last ``put``, also on error: it joins the thread and
-    returns the error the thread hit, if any.
+    ``put(chunk, mask)`` has the thread XOR the chunk with the pepper,
+    tiled as the big-endian integer ``mask``, before ``hash_obj.update``;
+    ``put(chunk)`` hashes the chunk as it is. At most one chunk waits in
+    the hand-off between the threads. An error the thread hits in the XOR
+    or the update is raised by the next ``put``. ``close`` must follow the
+    last ``put``, also on error: it joins the thread and returns that
+    error, if any.
     """
 
-    def __init__(self, hash_obj: Any):
+    def __init__(self, hash_obj: Any, pepper: bytes):
         # Imported here: only inputs longer than one chunk start a thread, so
         # a one-chunk call and the CLI's start-up do not load these modules.
         import queue
         import threading
 
         self._hash = hash_obj
+        self._pepper = pepper
         self._handoff: queue.Queue = queue.Queue(1)
         self._failure: BaseException | None = None
         self._thread = threading.Thread(target=self._drain, name="ash-hash", daemon=True)
@@ -162,17 +209,20 @@ class _HashWorker:
     def _drain(self) -> None:
         # Keeps taking chunks after a failure, so ``put`` never blocks on a
         # full hand-off; ``close`` passes the failure to the calling thread.
-        while (chunk := self._handoff.get()) is not None:
+        while (item := self._handoff.get()) is not None:
             if self._failure is None:
+                chunk, mask = item
                 try:
+                    if mask is not None:
+                        chunk = apply_pepper(chunk, self._pepper, mask=mask)
                     self._hash.update(chunk)
                 except BaseException as exc:
                     self._failure = exc
 
-    def put(self, chunk: bytes) -> None:
+    def put(self, chunk: bytes, mask: int | None = None) -> None:
         if self._failure is not None:
             raise self._failure
-        self._handoff.put(chunk)
+        self._handoff.put((chunk, mask))
 
     def close(self) -> BaseException | None:
         self._handoff.put(None)

@@ -61,14 +61,14 @@ def interleave_runs(first: bytes, second: bytes, half_size: int) -> bytes:
     Each output block takes one half from each run. The copy goes by
     strided slices, one per 8-byte word of a half-block (one per byte when
     the half size is not a multiple of 8), so the Python loop runs a few
-    times per call however long the runs are. Runs of fewer pairs than
-    that are zipped pair by pair, which skips the fixed cost of the
-    strided copy.
+    times per call however long the runs are. Runs of fewer than three
+    times that many pairs are zipped pair by pair, which skips the fixed
+    cost of the strided copy: below that, the strided copy is the slower.
     """
     if len(first) != len(second) or len(first) % half_size != 0:
         raise SizeMismatchError("half-block runs must be equal block-aligned lengths")
     width = half_size // 8 if half_size % 8 == 0 else half_size
-    if len(first) < width * half_size:
+    if len(first) < 3 * width * half_size:
         halves = range(0, len(first), half_size)
         return b"".join([run[k : k + half_size] for k in halves for run in (first, second)])
     seg = bytearray(2 * len(first))

@@ -211,15 +211,34 @@ def test_pepper_combine_mixed_lengths_fails():
 
 def test_pepper_combine_takes_a_full_ash2_share_and_refuses_one_character_more():
     share = "c3" * 128  # 256 characters, the longest share
+    argv = ("pepper", "combine", "--variant", "ash2")
     for ending in ("\n", "\r\n", ""):
-        result = run_cli("pepper", "combine", stdin=f"{share}{ending}".encode(), check=True)
+        result = run_cli(*argv, stdin=f"{share}{ending}".encode(), check=True)
         assert result.stdout.decode().strip() == share
     for line in (share + "0\n", share + "0\r\n"):
-        result = run_cli("pepper", "combine", stdin=line.encode())
+        result = run_cli(*argv, stdin=line.encode())
         assert result.returncode == 2
         assert result.stderr.decode().splitlines() == [
             "ash: share lines must be at most 256 characters"
         ]
+
+
+@pytest.mark.parametrize("variant, size", [("ash1", 64), ("ash2", 128)])
+def test_pepper_combine_takes_only_shares_of_the_variants_pepper_size(variant, size):
+    argv = ("pepper", "combine", "--variant", variant)
+    right = "5a" * size
+    result = run_cli(*argv, stdin=f"{right}\n{right}\n".encode(), check=True)
+    assert result.stdout.decode() == "00" * size + "\n"
+    for wrong in (size - 1, size + 1):
+        # all shares wrong, or one wrong share after a right one
+        for stdin in (f"{'5a' * wrong}\n", f"{right}\n{'5a' * wrong}\n"):
+            result = run_cli(*argv, stdin=stdin.encode())
+            assert result.returncode == 2
+            assert result.stdout == b""
+            lines = result.stderr.decode().splitlines()
+            # an ASH-2 share one byte too long is over the line limit as well
+            reason = "share lines must be" if 2 * wrong > 256 else f"a share is {wrong} bytes"
+            assert len(lines) == 1 and lines[0].startswith(f"ash: {reason}"), lines
 
 
 @pytest.mark.parametrize("source", ["dev-zero", "10-MB-line"])

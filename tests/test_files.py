@@ -3,16 +3,21 @@
 import dataclasses
 import hashlib
 import io
+import os
+import pathlib
+import platform
 import random
+import subprocess
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ash.files
-from ash.digest import create, dynamic_section, encode
+from ash.digest import create, dynamic_section, encode, verify
 from ash.errors import AshError
 from ash.files import (
     _CHUNK_HALVES,
@@ -27,6 +32,7 @@ from ash.variants import ASH1, ASH2
 from oracle import oracle_digest, oracle_pad
 
 TOY = toy_variant()
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
 class _ToyOracleHash:
@@ -371,27 +377,91 @@ def test_zero_chunks_match_the_oracle(variant, case, tmp_path):
     _check_against_oracle(variant, message, pepper, tmp_path)
 
 
-def test_zero_chunks_skip_the_permutation_and_the_xor(monkeypatch):
-    # of the three chunks of the all-zero message only the tail is zipped
-    # and peppered; "equal-runs" zips both chunk 1 and the tail
+def _record_calls(monkeypatch, *names):
+    """Wrap each named ``ash.files`` function to log (name, calling thread) per call."""
     calls = []
 
-    def counted(name):
+    def recorded(name):
         real = getattr(ash.files, name)
 
         def wrapper(*args, **kwargs):
-            calls.append(name)
+            calls.append((name, threading.get_ident()))
             return real(*args, **kwargs)
 
         return wrapper
 
-    for name in ("interleave_runs", "apply_pepper"):
-        monkeypatch.setattr(ash.files, name, counted(name))
-    digest_stream(io.BytesIO(_zero_chunk_message(ASH1, "all-zero")), ASH1, bytes(64))
-    assert calls == ["interleave_runs", "apply_pepper"]
-    calls.clear()
-    digest_stream(io.BytesIO(_zero_chunk_message(ASH1, "equal-runs")), ASH1, bytes(64))
-    assert calls == ["interleave_runs", "apply_pepper"] * 2
+    for name in names:
+        monkeypatch.setattr(ash.files, name, recorded(name))
+    return calls
+
+
+def test_zero_chunks_skip_the_permutation_and_the_xor(monkeypatch):
+    # of the three chunks of the all-zero message only the tail is zipped
+    # and peppered; "equal-runs" zips both chunk 1 and the tail. The zip
+    # runs on the calling thread and the XOR on the worker, so the two
+    # lists are checked apart.
+    calls = _record_calls(monkeypatch, "interleave_runs", "apply_pepper")
+    caller = threading.get_ident()
+    for case, chunks in (("all-zero", 1), ("equal-runs", 2)):
+        calls.clear()
+        digest_stream(io.BytesIO(_zero_chunk_message(ASH1, case)), ASH1, bytes(64))
+        zips = [thread for name, thread in calls if name == "interleave_runs"]
+        xors = [thread for name, thread in calls if name == "apply_pepper"]
+        assert zips == [caller] * chunks
+        assert len(xors) == chunks and caller not in xors
+
+
+@pytest.mark.parametrize(
+    "entry, size, on_caller",
+    [
+        ("create", 3 * CHUNK_BYTES + 500, False),
+        ("create", 200, True),
+        ("dynamic_section", 3 * CHUNK_BYTES + 500, True),
+        ("dynamic_section", 200, True),
+    ],
+    ids=["create-four-chunks", "create-one-chunk", "dynamic-four-chunks", "dynamic-one-chunk"],
+)
+def test_the_pepper_xor_runs_on_the_worker_only_beside_a_static_pass(
+    monkeypatch, entry, size, on_caller
+):
+    # A multi-chunk create XORs on the worker while the caller runs the
+    # static pass; with no static pass, or no worker, the caller XORs.
+    calls = _record_calls(monkeypatch, "apply_pepper")
+    message = random.Random(85).randbytes(size)
+    pepper = random.Random(86).randbytes(64)
+    fn = create if entry == "create" else dynamic_section
+    result = fn(message, ASH1, pepper)
+    if entry == "create":
+        assert encode(result, "binary") == oracle_digest(message, pepper, hashlib.sha256, 64, 8)
+    chunks = -(-len(oracle_pad(message, 64, 8)) // CHUNK_BYTES)
+    threads = {thread for _, thread in calls}
+    assert len(calls) == chunks
+    if on_caller:
+        assert threads == {threading.get_ident()}
+    else:
+        assert len(threads) == 1 and threading.get_ident() not in threads
+
+
+@pytest.mark.parametrize("failing", ["first", "last"])
+def test_a_failing_pepper_xor_on_the_worker_raises_and_joins_it(monkeypatch, failing):
+    # five chunks: the first XOR fails while the caller still has chunks
+    # to hand over; the last fails after the final hand-off, at the join
+    real = ash.files.apply_pepper
+    calls = []
+
+    def failing_pepper(*args, **kwargs):
+        calls.append(threading.get_ident())
+        if failing == "first" or len(calls) == 5:
+            raise RuntimeError("pepper XOR failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ash.files, "apply_pepper", failing_pepper)
+    message = random.Random(87).randbytes(5 * CHUNK_BYTES - 100)  # pads to 5 chunks
+    threads = threading.active_count()
+    outcome = _outcome_within(60, lambda: create(message, ASH1, bytes(64)))
+    assert isinstance(outcome, RuntimeError) and "pepper XOR failed" in str(outcome)
+    assert len(calls) == (1 if failing == "first" else 5)
+    assert threading.active_count() == threads
 
 
 class _GrowsAfterSizing(io.BytesIO):
@@ -457,3 +527,79 @@ def test_interrupt_mid_digest_joins_the_worker():
     with pytest.raises(KeyboardInterrupt):
         digest_stream(stream, ASH1, bytes(64))
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("variant", [ASH1, ASH2], ids=["ash1", "ash2"])
+@pytest.mark.parametrize("entry", ["create", "verify", "dynamic_section", "digest_file"])
+def test_memory_stays_flat_for_every_entry_point(variant, entry, tmp_path):
+    # the traced peak covers both threads: a few chunk buffers, whatever
+    # the input size, and never a copy of the input. How far the worker
+    # lags moves a peak by a chunk or so, at times in all three runs of a
+    # size, so each size keeps its lowest peak of three and the two may
+    # differ by up to two chunks.
+    chunk = _CHUNK_HALVES * variant.block_size
+    pepper = random.Random(88).randbytes(variant.pepper_size)
+    peaks = []
+    for size in (4 << 20, 8 << 20):
+        message = random.Random(89).randbytes(size)
+        path = tmp_path / "message.bin"
+        path.write_bytes(message)
+        claimed = create(message, variant, pepper)
+        calls = {
+            "create": lambda: create(message, variant, pepper),
+            "verify": lambda: verify(message, claimed),
+            "dynamic_section": lambda: dynamic_section(message, variant, pepper),
+            "digest_file": lambda: digest_file(path, variant, pepper),
+        }
+        runs = []
+        for _ in range(3):
+            tracemalloc.start()
+            try:
+                calls[entry]()
+                runs.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(runs) < 10 * chunk, [p / chunk for p in runs]
+        peaks.append(min(runs))
+    assert peaks[1] < peaks[0] + 2 * chunk, [p / chunk for p in peaks]
+
+
+_FAULTS_PER_DIGEST = """
+import os, resource, sys
+from ash.digest import create, dynamic_section
+from ash.variants import get_variant
+variant = get_variant(sys.argv[1])
+fn = create if sys.argv[2] == "create" else dynamic_section
+# os.urandom fills its result in place: no large block is freed before the
+# first digest, which could change glibc's thresholds by itself
+message = os.urandom(4 << 20)
+pepper = bytes(variant.pepper_size)
+faults = []
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+    fn(message, variant, pepper)
+    faults.append(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before)
+# the first digest sets glibc up, and a later one can still grow the heap
+# once; buffers trimmed and faulted in again show in every digest
+print(min(faults[1:]))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="about glibc's heap trimming")
+@pytest.mark.parametrize("variant", [ASH1, ASH2], ids=["ash1", "ash2"])
+@pytest.mark.parametrize("entry", ["create", "dynamic_section"])
+def test_chunk_buffers_are_not_faulted_in_afresh_for_each_chunk(variant, entry):
+    # Once a process has run a multi-chunk digest, glibc keeps the freed
+    # chunk buffers instead of trimming them, so the calling thread of a
+    # later digest takes fewer page faults than it has chunks (4-90 per
+    # chunk when they are trimmed). It runs in a fresh process, as the
+    # first digest sets this up. The worker's faults are left out: a new
+    # worker can start on a fresh heap of its own before the last one's
+    # heap is free again.
+    tag = variant.name.replace("-", "").lower()
+    result = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PER_DIGEST, tag, entry],
+        capture_output=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60, check=True,
+    )
+    faults = int(result.stdout)
+    assert faults < (4 << 20) // (_CHUNK_HALVES * variant.block_size), faults

@@ -251,9 +251,10 @@ def test_interleave_runs_zips_half_blocks():
 @pytest.mark.parametrize("half_size", [4, 32, 64])
 def test_interleave_runs_word_and_byte_copies_agree_with_the_oracle(half_size):
     # 32 and 64 copy 8-byte words; the toy variant's 4 copies bytes. Fewer
-    # pairs than words (or bytes) per half are zipped pair by pair instead.
+    # pairs than three times the words (or bytes) per half are zipped pair
+    # by pair instead: 11 and 23 pairs are the last of those for 32 and 64.
     rng = random.Random(15)
-    for pairs in (1, 2, 3, 4, 5, 7, 8, 9, 64):
+    for pairs in (1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 23, 24, 64):
         first, second = rng.randbytes(pairs * half_size), rng.randbytes(pairs * half_size)
         assert interleave_runs(first, second, half_size) == oracle_permute(
             first + second, half_size
