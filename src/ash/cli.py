@@ -80,7 +80,7 @@ def _parse_pepper(hex_text: str, variant: AshVariant) -> bytes:
 
 def _cmd_hash(args: argparse.Namespace) -> int:
     variant = get_variant(args.variant)
-    pepper = _parse_pepper(args.pepper, variant) if args.pepper else None
+    pepper = _parse_pepper(args.pepper, variant) if args.pepper is not None else None
     with _open_input(args.path, args.memory_budget) as stream:
         result = files.digest_stream(stream, variant, pepper)
     encoded = digestmod.encode(result, args.format)
@@ -104,8 +104,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         claimed = _read_digest_argument(args.digest)
     except DigestFormatError as exc:
-        print(f"ash: malformed digest: {exc}", file=sys.stderr)
-        return 2
+        raise AshError(f"malformed digest: {exc}") from None
     with _open_input(args.path, args.memory_budget) as stream:
         recomputed = files.digest_stream(stream, claimed.variant, claimed.pepper)
     if digestmod.sections_match(recomputed, claimed):
@@ -147,8 +146,7 @@ def _cmd_pepper(args: argparse.Namespace) -> int:
     try:
         combined = combine_shares(_read_shares(_stdin(), variant))
     except ValueError:  # the one ValueError combine_shares raises: no share at all
-        print("ash: no shares on standard input", file=sys.stderr)
-        return 2
+        raise AshError("no shares on standard input") from None
     _write_stdout(f"{combined.hex()}\n".encode())
     return 0
 
@@ -161,30 +159,25 @@ def _cmd_challenge(args: argparse.Namespace) -> int:
     if args.file == "-":
         raise AshError("challenge carries its frames on standard input; give the file by path")
     stdin = _stdin()
+
+    def receive(awaited: str) -> protocol.ProtocolFrame:
+        frame = protocol.read_frame(stdin)
+        if frame is None:
+            raise AshError(f"peer closed the stream before {awaited}")
+        return frame
+
     with _open_input(args.file, files.DEFAULT_MEMORY_BUDGET) as message:
         if args.role == "challenger":
             session = protocol.Challenger(variant)
             _write_stdout(protocol.encode_frame(session.issue()))
-            response = protocol.read_frame(stdin)
-            if response is None:
-                print("ash: peer closed the stream before responding", file=sys.stderr)
-                return 2
-            verdict = session.check(response, message)
+            verdict = session.check(receive("responding"), message)
             _write_stdout(protocol.encode_frame(verdict))
             print("ash: accept" if session.accepted else "ash: reject", file=sys.stderr)
             return 0 if session.accepted else 1
 
         session = protocol.Responder(variant)
-        challenge = protocol.read_frame(stdin)
-        if challenge is None:
-            print("ash: peer closed the stream before challenging", file=sys.stderr)
-            return 2
-        _write_stdout(protocol.encode_frame(session.answer(challenge, message)))
-        verdict = protocol.read_frame(stdin)
-        if verdict is None:
-            print("ash: peer closed the stream before the verdict", file=sys.stderr)
-            return 2
-        accepted = protocol.verdict_accepted(verdict)
+        _write_stdout(protocol.encode_frame(session.answer(receive("challenging"), message)))
+        accepted = protocol.verdict_accepted(receive("the verdict"))
         print("ash: accepted" if accepted else "ash: rejected", file=sys.stderr)
         return 0 if accepted else 1
 
@@ -203,23 +196,22 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_hash)
     p_hash.add_argument("--pepper", metavar="HEX", help="fixed pepper instead of a random one")
     p_hash.add_argument("--format", choices=("binary", "hex", "tagged"), default="tagged")
-    p_hash.add_argument(
-        "--memory-budget",
-        type=int,
-        default=files.DEFAULT_MEMORY_BUDGET,
-        metavar="BYTES",
-        help="in-memory limit for non-seekable input before spilling to disk",
-    )
     p_hash.add_argument("path", nargs="?", default="-")
     p_hash.set_defaults(func=_cmd_hash)
 
     p_verify = sub.add_parser("verify", help="verify a file against a digest")
     p_verify.add_argument("digest", help="encoded digest, or @path to read it from a file")
     p_verify.add_argument("path", nargs="?", default="-")
-    p_verify.add_argument(
-        "--memory-budget", type=int, default=files.DEFAULT_MEMORY_BUDGET, metavar="BYTES"
-    )
     p_verify.set_defaults(func=_cmd_verify)
+
+    for p in (p_hash, p_verify):
+        p.add_argument(
+            "--memory-budget",
+            type=int,
+            default=files.DEFAULT_MEMORY_BUDGET,
+            metavar="BYTES",
+            help="in-memory limit for non-seekable input before spilling to disk",
+        )
 
     p_pepper = sub.add_parser("pepper", help="generate or combine pepper material")
     p_pepper.add_argument("action", choices=("gen", "combine"))
@@ -240,10 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AshError as exc:
-        print(f"ash: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (AshError, OSError) as exc:
         print(f"ash: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

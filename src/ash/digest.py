@@ -62,7 +62,7 @@ def create(
 ) -> AshDigest:
     """Hash a message, drawing a fresh random pepper unless one is supplied.
 
-    ``message`` is bytes or a seekable binary stream, hashed from offset 0.
+    ``message`` is bytes-like or a seekable binary stream, hashed from offset 0.
     """
     if pepper is None:
         pepper = generate_pepper(variant)
@@ -73,7 +73,7 @@ def create(
 def dynamic_section(message: bytes | BinaryIO, variant: AshVariant, pepper: bytes) -> bytes:
     """Just the pepper-bound section, for protocols that exchange it alone.
 
-    ``message`` is bytes or a seekable binary stream, hashed from offset 0.
+    ``message`` is bytes-like or a seekable binary stream, hashed from offset 0.
     """
     return _sections(message, variant, pepper, static=False)[1]
 

@@ -22,7 +22,6 @@ all run through it.
 
 from __future__ import annotations
 
-import io
 import os
 import shutil
 import tempfile
@@ -69,32 +68,49 @@ def _keep_chunk_pages(chunk_bytes: int) -> None:
         bytes(block)
 
 
-class _PaddedView:
-    """Random-access reads over file bytes followed by the computed pad suffix."""
+def _read_exactly(stream: BinaryIO, n: int) -> bytes:
+    """Read n bytes from a blocking stream; fewer only if the stream ends first."""
+    parts = []
+    while n:
+        piece = stream.read(n)
+        if not piece:
+            break
+        parts.append(piece)
+        n -= len(piece)
+    return b"".join(parts)
 
-    def __init__(self, stream: BinaryIO, size: int, suffix: bytes):
-        self._stream = stream
-        self._size = size
-        self._suffix = suffix
+
+class _PaddedView:
+    """Random-access reads over the input's bytes followed by the pad suffix.
+
+    Bytes-like input is sliced through one flat memoryview, so a read
+    copies its own run and never the whole input; a stream is read at the
+    offsets.
+    """
+
+    def __init__(self, source: bytes | BinaryIO, variant: AshVariant):
+        if isinstance(source, (bytes, bytearray, memoryview)):
+            self._buffer = memoryview(source).cast("B")
+            self.size = len(self._buffer)
+        else:
+            self._buffer = None
+            self._stream = source
+            self.size = source.seek(0, os.SEEK_END)
+        self.suffix = pad_suffix(self.size, variant)
 
     def read_at(self, offset: int, count: int) -> bytes:
-        parts = []
-        if offset < self._size:
-            take = min(count, self._size - offset)
+        end = offset + count
+        if offset >= self.size:
+            return self.suffix[offset - self.size : end - self.size]
+        stop = min(end, self.size)
+        if self._buffer is not None:
+            data = self._buffer[offset:stop].tobytes()
+        else:
             self._stream.seek(offset)
-            got = 0
-            while got < take:
-                piece = self._stream.read(take - got)
-                if not piece:
-                    raise AshError("input shrank while it was being hashed")
-                parts.append(piece)
-                got += len(piece)
-            offset += take
-            count -= take
-        if count:
-            start = offset - self._size
-            parts.append(self._suffix[start : start + count])
-        return b"".join(parts)
+            data = _read_exactly(self._stream, stop - offset)
+            if len(data) < stop - offset:
+                raise AshError("input shrank while it was being hashed")
+        return data + self.suffix[: end - stop]
 
 
 def _sections(
@@ -113,14 +129,10 @@ def _sections(
         raise SizeMismatchError(
             f"pepper is {len(pepper)} bytes, wanted {variant.pepper_size}"
         )
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        source = io.BytesIO(source)
-    size = source.seek(0, os.SEEK_END)
-    suffix = pad_suffix(size, variant)
+    view = _PaddedView(source, variant)
     half = variant.half_size
-    pairs = (size + len(suffix)) // variant.block_size
+    pairs = (view.size + len(view.suffix)) // variant.block_size
     mid = pairs * half
-    view = _PaddedView(source, size, suffix)
     step = min(_CHUNK_HALVES, pairs)
     full = step * variant.block_size
     mask = int.from_bytes(pepper * step, "big")

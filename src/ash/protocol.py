@@ -38,6 +38,7 @@ from .errors import (
     ProtocolError,
     TruncatedFrameError,
 )
+from .files import _read_exactly
 from .seasoning import generate_pepper
 from .variants import AshVariant
 
@@ -73,11 +74,8 @@ class ProtocolFrame:
 
     frame_type: FrameType
     payload: bytes
-    version: int = VERSION
 
     def __post_init__(self) -> None:
-        if self.version != VERSION:
-            raise BadVersionError(f"unsupported version {self.version:#x}")
         frame_type = _FRAME_TYPES.get(self.frame_type)
         if frame_type is None:
             raise BadFrameTypeError(f"unknown frame type {self.frame_type:#x}")
@@ -87,7 +85,7 @@ class ProtocolFrame:
 def encode_frame(frame: ProtocolFrame) -> bytes:
     return (
         MAGIC
-        + bytes((frame.version, frame.frame_type))
+        + bytes((VERSION, frame.frame_type))
         + len(frame.payload).to_bytes(4, "big")
         + frame.payload
     )
@@ -118,24 +116,16 @@ def decode_frame(data: bytes) -> tuple[ProtocolFrame, bytes]:
     return ProtocolFrame(frame_type, data[HEADER_SIZE:end]), data[end:]
 
 
-def write_frame(stream: BinaryIO, frame: ProtocolFrame) -> None:
-    stream.write(encode_frame(frame))
-    stream.flush()
-
-
 def read_frame(stream: BinaryIO) -> ProtocolFrame | None:
     """Read one frame from a blocking stream; None on clean end-of-stream.
 
     A payload longer than its frame type can carry is refused from the header.
     """
-    header = stream.read(HEADER_SIZE)
+    header = _read_exactly(stream, HEADER_SIZE)
     if not header:
         return None
-    while len(header) < HEADER_SIZE:
-        more = stream.read(HEADER_SIZE - len(header))
-        if not more:
-            raise TruncatedFrameError("stream ended inside a frame header")
-        header += more
+    if len(header) < HEADER_SIZE:
+        raise TruncatedFrameError("stream ended inside a frame header")
     # validate the header before trusting its length field
     frame_type, length = _check_header(header)
     if length > _MAX_PAYLOAD[frame_type]:
@@ -143,15 +133,10 @@ def read_frame(stream: BinaryIO) -> ProtocolFrame | None:
             f"{frame_type.name} frame declares {length} payload bytes, "
             f"at most {_MAX_PAYLOAD[frame_type]} allowed"
         )
-    payload = bytearray(length)
-    got = 0
-    while got < length:
-        more = stream.read(length - got)
-        if not more:
-            raise TruncatedFrameError("stream ended inside a frame payload")
-        payload[got : got + len(more)] = more
-        got += len(more)
-    return ProtocolFrame(frame_type, bytes(payload))
+    payload = _read_exactly(stream, length)
+    if len(payload) < length:
+        raise TruncatedFrameError("stream ended inside a frame payload")
+    return ProtocolFrame(frame_type, payload)
 
 
 def _expect(frame: ProtocolFrame, frame_type: FrameType, size: int | None = None) -> None:

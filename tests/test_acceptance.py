@@ -21,7 +21,6 @@ from ash.protocol import (
     encode_frame,
     read_frame,
     verdict_accepted,
-    write_frame,
 )
 from ash.errors import ProtocolError
 from ash.restructure import interleave
@@ -176,15 +175,19 @@ def test_criterion_9_protocol_fuzz():
         assert dict(vars(challenger)) == before
 
     # piped challenger/responder over real file descriptors, 200 + 200 trials
+    def send(stream, frame: ProtocolFrame) -> None:
+        stream.write(encode_frame(frame))
+        stream.flush()
+
     def run_session(message_c: bytes, message_r: bytes) -> bool:
         c2r_read, c2r_write = os.pipe()
         r2c_read, r2c_write = os.pipe()
         with open(c2r_read, "rb") as rx_r, open(c2r_write, "wb") as tx_c, \
              open(r2c_read, "rb") as rx_c, open(r2c_write, "wb") as tx_r:
             challenger, responder = Challenger(ASH1), Responder(ASH1)
-            write_frame(tx_c, challenger.issue())
-            write_frame(tx_r, responder.answer(read_frame(rx_r), message_r))
-            write_frame(tx_c, challenger.check(read_frame(rx_c), message_c))
+            send(tx_c, challenger.issue())
+            send(tx_r, responder.answer(read_frame(rx_r), message_r))
+            send(tx_c, challenger.check(read_frame(rx_c), message_c))
             assert verdict_accepted(read_frame(rx_r)) is challenger.accepted
             return challenger.accepted
 

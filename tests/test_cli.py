@@ -9,7 +9,10 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ash import cli
 from ash.files import _CHUNK_HALVES
 from oracle import oracle_ash1, oracle_ash2
 
@@ -111,6 +114,14 @@ def test_hash_stdin_with_tiny_memory_budget(sample):
 def test_hash_bad_pepper_hex(sample):
     assert run_cli("hash", "--pepper", "zz", str(sample)).returncode == 2
     assert run_cli("hash", "--pepper", "00" * 63, str(sample)).returncode == 2
+
+
+def test_hash_empty_pepper_is_refused(sample):
+    # an empty --pepper is a malformed pepper, not a request for a random one
+    result = run_cli("hash", "--pepper", "", str(sample))
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert result.stderr == b"ash: --pepper must be 64 bytes (128 hex chars) for ASH-1, got 0\n"
 
 
 def test_hash_missing_file():
@@ -452,3 +463,123 @@ def test_closed_stdin_exits_2_with_one_line(sample, command):
     assert result.returncode == 2, result.stderr
     assert result.stdout == b""
     assert result.stderr.decode().splitlines() == ["ash: standard input is closed"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    """Paths for the fuzzed argv: a file, an empty file, a directory, a missing path."""
+    root = tmp_path_factory.mktemp("fuzz")
+    data = root / "data.bin"
+    data.write_bytes(b"fuzzed cli input\n" * 9)
+    (root / "empty").write_bytes(b"")
+    digest = run_cli("hash", "--pepper", "5a" * 64, str(data), check=True).stdout
+    (root / "data.ash").write_bytes(digest)
+    return {
+        "paths": [str(data), str(root / "empty"), str(root), str(root / "missing"), "-"],
+        "digest": digest.decode().strip(),
+        "digest_file": str(root / "data.ash"),
+    }
+
+
+# Words of argv: any character but NUL, which argv cannot hold, and the lone
+# surrogates that stand for bytes of argv that are not UTF-8. No word starts
+# with "-", so none asks argparse for --help (which exits 0); option-like
+# words come from _STRAY only.
+_CHARACTER = st.characters(exclude_characters="\0") | st.characters(
+    min_codepoint=0xDC80, max_codepoint=0xDCFF
+)
+_WORD = st.text(_CHARACTER, max_size=12).filter(lambda w: not w.startswith("-"))
+_STRAY = st.sampled_from(["--bogus", "-x", "--", "--variant", "--pepper", "--format"])
+
+
+def _choice_or_word(*choices):
+    """One of the choices, or now and then a random word."""
+    choice = st.sampled_from(choices + (None,))
+    return choice.flatmap(lambda c: _WORD if c is None else st.just(c))
+
+
+def _hex(max_bytes):
+    return st.binary(max_size=max_bytes).map(bytes.hex)
+
+
+@st.composite
+def _digest_argument(draw, paths):
+    """Valid, damaged and random digests, inline or as @ paths."""
+    good = paths["digest"]
+    tag = draw(_choice_or_word("ash1", "ash2", "ASH1", "sha1", ""))
+    body = draw(_hex(300) | st.sampled_from([good[5:], good[5:-1], good[5:] + "0"]) | _WORD)
+    return draw(
+        st.sampled_from([good, good[:-1] + ("0" if good[-1] != "0" else "1")])
+        | st.just(f"{tag}:{body}")
+        | st.just(body)
+        | st.sampled_from(["@" + p for p in paths["paths"] + [paths["digest_file"]]])
+        | _WORD
+    )
+
+
+@st.composite
+def _cli_case(draw, paths):
+    """An argv for one of the four subcommands, and the bytes on standard input."""
+    path = st.sampled_from(paths["paths"])
+    command = draw(st.sampled_from(["hash", "verify", "pepper", "challenge"]))
+    options = {
+        "hash": {
+            "--variant": _choice_or_word("ash1", "ash2"),
+            "--pepper": _hex(130) | st.sampled_from(["", "zz", "5a" * 64]) | _WORD,
+            "--format": _choice_or_word("binary", "hex", "tagged"),
+            "--memory-budget": st.integers(-2, 1 << 20).map(str) | _WORD,
+        },
+        "verify": {"--memory-budget": st.integers(-2, 1 << 20).map(str) | _WORD},
+        "pepper": {"--variant": _choice_or_word("ash1", "ash2")},
+        "challenge": {"--variant": _choice_or_word("ash1", "ash2")},
+    }[command]
+    argv = [command]
+    if command == "challenge":  # its one required option
+        argv += ["--role", draw(_choice_or_word("challenger", "responder"))]
+    for flag in draw(st.lists(st.sampled_from(sorted(options)), unique=True)):
+        argv += [flag, draw(options[flag])]
+    argv += {
+        "hash": lambda: draw(st.lists(path, max_size=1)),
+        "verify": lambda: [draw(_digest_argument(paths)), draw(path)],
+        "pepper": lambda: [draw(_choice_or_word("gen", "combine"))],
+        "challenge": lambda: [draw(path)],
+    }[command]()
+    for stray in draw(st.lists(_STRAY | _WORD, max_size=1)):
+        argv.insert(draw(st.integers(0, len(argv))), stray)
+    share_lines = st.lists(_hex(130), max_size=3).map(lambda s: "\n".join(s).encode())
+    payload = st.sampled_from([0, 1, 2, 32, 64, 128, 129]).flatmap(
+        lambda n: st.binary(min_size=n, max_size=n)
+    )
+    frame = st.builds(
+        lambda kind, body: b"ASHP\x01" + bytes((kind,)) + len(body).to_bytes(4, "big") + body,
+        st.integers(0, 5),
+        payload,
+    )
+    frames = st.lists(frame, max_size=3).map(b"".join)
+    stdin = draw(st.binary(max_size=300) | share_lines | frames | frames.map(lambda f: f[:-1]))
+    return argv, stdin
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_cli_exits_0_1_or_2_with_no_traceback(fuzz_paths, data):
+    # In process, with the standard streams swapped for in-memory buffers.
+    # FIFOs are left out: opening one that has no writer blocks.
+    argv, stdin = data.draw(_cli_case(fuzz_paths))
+    streams = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin))
+    sys.stdout = io.TextIOWrapper(io.BytesIO())
+    sys.stderr = io.StringIO()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse refusing the argv
+        code = None
+        assert exc.code == 2
+    finally:
+        stderr = sys.stderr.getvalue()
+        sys.stdin, sys.stdout, sys.stderr = streams
+    if code is not None:
+        assert code in (0, 1, 2)
+        lines = stderr.splitlines()
+        assert all(line.startswith("ash: ") for line in lines), (argv, stderr)
+        assert len(lines) == 1 if code else len(lines) <= 1, (argv, stderr)

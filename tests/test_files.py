@@ -146,7 +146,8 @@ def _check_against_oracle(variant, message, pepper, tmp_path=None):
     expected = oracle_digest(
         message, pepper, ORACLE_HASH[variant], variant.block_size, variant.length_field_size
     )
-    assert encode(create(message, variant, pepper), "binary") == expected
+    for source in (message, bytearray(message), memoryview(message)):
+        assert encode(create(source, variant, pepper), "binary") == expected
     assert encode(digest_stream(io.BytesIO(message), variant, pepper), "binary") == expected
     s = variant.section_size
     assert dynamic_section(io.BytesIO(message), variant, pepper) == expected[s : 2 * s]
@@ -529,22 +530,42 @@ def test_interrupt_mid_digest_joins_the_worker():
     assert threading.active_count() == threads
 
 
+# In-memory input that is not exactly bytes: a bytearray, and a memoryview
+# of 8-byte items, which is hashed as its raw bytes.
+_BUFFERS = {
+    "": bytes,
+    "bytearray": bytearray,
+    "memoryview": lambda data: memoryview(data).cast("Q"),
+}
+
+
 @pytest.mark.parametrize("variant", [ASH1, ASH2], ids=["ash1", "ash2"])
-@pytest.mark.parametrize("entry", ["create", "verify", "dynamic_section", "digest_file"])
+@pytest.mark.parametrize(
+    "entry",
+    ["create", "verify", "dynamic_section", "digest_file"]
+    + [
+        f"{entry}-{kind}"
+        for kind in ("bytearray", "memoryview")
+        for entry in ("create", "verify", "dynamic_section")
+    ],
+)
 def test_memory_stays_flat_for_every_entry_point(variant, entry, tmp_path):
     # the traced peak covers both threads: a few chunk buffers, whatever
     # the input size, and never a copy of the input. How far the worker
     # lags moves a peak by a chunk or so, at times in all three runs of a
     # size, so each size keeps its lowest peak of three and the two may
     # differ by up to two chunks.
+    entry, _, kind = entry.partition("-")
     chunk = _CHUNK_HALVES * variant.block_size
     pepper = random.Random(88).randbytes(variant.pepper_size)
     peaks = []
     for size in (4 << 20, 8 << 20):
-        message = random.Random(89).randbytes(size)
+        data = random.Random(89).randbytes(size)
+        message = _BUFFERS[kind](data)
         path = tmp_path / "message.bin"
-        path.write_bytes(message)
+        path.write_bytes(data)
         claimed = create(message, variant, pepper)
+        assert claimed == create(data, variant, pepper)
         calls = {
             "create": lambda: create(message, variant, pepper),
             "verify": lambda: verify(message, claimed),

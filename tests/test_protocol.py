@@ -174,8 +174,6 @@ def test_frame_checks_run_in_wire_order():
 def test_frame_constructor_validates():
     with pytest.raises(BadFrameTypeError):
         ProtocolFrame(0x07, b"")
-    with pytest.raises(BadVersionError):
-        ProtocolFrame(FrameType.VERDICT, b"", version=0x02)
 
 
 def test_pepper_agreement_two_parties():
