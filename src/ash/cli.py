@@ -65,6 +65,17 @@ def _write_stdout(data: bytes) -> None:
         raise AshError(f"cannot write to standard output: {exc.strerror or exc}") from None
 
 
+def _memory_budget(text: str) -> int:
+    """An argparse type: a byte count of 0 or more (0 spills at once)."""
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a whole number: {text!r}") from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {budget}")
+    return budget
+
+
 def _parse_pepper(hex_text: str, variant: AshVariant) -> bytes:
     try:
         pepper = bytes.fromhex(hex_text)
@@ -82,7 +93,7 @@ def _cmd_hash(args: argparse.Namespace) -> int:
     variant = get_variant(args.variant)
     pepper = _parse_pepper(args.pepper, variant) if args.pepper is not None else None
     with _open_input(args.path, args.memory_budget) as stream:
-        result = files.digest_stream(stream, variant, pepper)
+        result = digestmod.create(stream, variant, pepper)
     encoded = digestmod.encode(result, args.format)
     _write_stdout(encoded if args.format == "binary" else f"{encoded}\n".encode())
     return 0
@@ -106,12 +117,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except DigestFormatError as exc:
         raise AshError(f"malformed digest: {exc}") from None
     with _open_input(args.path, args.memory_budget) as stream:
-        recomputed = files.digest_stream(stream, claimed.variant, claimed.pepper)
-    if digestmod.sections_match(recomputed, claimed):
-        print("ash: match", file=sys.stderr)
-        return 0
-    print("ash: mismatch", file=sys.stderr)
-    return 1
+        matched = digestmod.verify(stream, claimed)
+    print("ash: match" if matched else "ash: mismatch", file=sys.stderr)
+    return 0 if matched else 1
 
 
 def _read_shares(stream: BinaryIO, variant: AshVariant) -> Iterator[bytes]:
@@ -207,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_hash, p_verify):
         p.add_argument(
             "--memory-budget",
-            type=int,
+            type=_memory_budget,
             default=files.DEFAULT_MEMORY_BUDGET,
             metavar="BYTES",
             help="in-memory limit for non-seekable input before spilling to disk",

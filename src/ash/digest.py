@@ -63,6 +63,9 @@ def create(
     """Hash a message, drawing a fresh random pepper unless one is supplied.
 
     ``message`` is bytes-like or a seekable binary stream, hashed from offset 0.
+    A stream's size is a snapshot taken once, at the start: bytes appended
+    while it is hashed are left out, so a growing file gives the digest of
+    its first ``size`` bytes, and one that shrinks below it raises ``AshError``.
     """
     if pepper is None:
         pepper = generate_pepper(variant)
@@ -86,7 +89,10 @@ def sections_match(computed: AshDigest, claimed: AshDigest) -> bool:
 
 
 def verify(message: bytes | BinaryIO, claimed: AshDigest) -> bool:
-    """Recompute with the embedded pepper; both sections must match."""
+    """Recompute with the embedded pepper; both sections must match.
+
+    ``message`` is read as ``create`` reads it, stream size snapshot included.
+    """
     recomputed = create(message, claimed.variant, claimed.pepper)
     return sections_match(recomputed, claimed)
 

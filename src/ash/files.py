@@ -14,10 +14,10 @@ interpreter lock released (hashlib drops it while it hashes); meanwhile the
 worker XORs the chunk with the pepper and runs the dynamic SHA pass. With
 no static pass (``dynamic_section``) the caller keeps the XOR, and the
 worker only hashes. A one-slot hand-off keeps peak memory a
-few chunk buffers whatever the input size. ``digest_stream`` and
-``digest_file`` here and ``create``, ``verify`` and ``dynamic_section``
-in ``ash.digest`` (and through them the challenge sessions and the CLI)
-all run through it.
+few chunk buffers whatever the input size. ``create``, ``verify`` and
+``dynamic_section`` in ``ash.digest`` run through it, and through them the
+challenge sessions and the CLI. This module also holds the spool that makes
+a pipe seekable; it imports nothing from ``ash.digest``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import shutil
 import tempfile
 from typing import Any, BinaryIO
 
-from . import digest
 from .errors import AshError, SizeMismatchError
 from .restructure import interleave_runs, pad_suffix
 from .seasoning import apply_pepper
@@ -242,35 +241,16 @@ class _HashWorker:
         return self._failure
 
 
-def digest_stream(
-    stream: BinaryIO, variant: AshVariant, pepper: bytes | None = None
-) -> digest.AshDigest:
-    """Digest a seekable binary stream with bounded memory.
-
-    Matches ``digest.create`` on the stream's full contents, bit for bit.
-    The size is a snapshot taken once, at the start: bytes appended while
-    the digest runs are not hashed, so a growing file gives the digest of
-    its first ``size`` bytes. A stream that shrinks below the snapshot
-    raises ``AshError``.
-    """
-    return digest.create(stream, variant, pepper)
-
-
-def digest_file(
-    path: str | os.PathLike, variant: AshVariant, pepper: bytes | None = None
-) -> digest.AshDigest:
-    with open(path, "rb") as stream:
-        return digest_stream(stream, variant, pepper)
-
-
 def spool_to_seekable(source: BinaryIO, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> BinaryIO:
     """Buffer a non-seekable stream (a pipe, usually) into something seekable.
 
     Stays in memory up to ``memory_budget`` bytes, then spills to a
-    temporary file; the permutation needs random access, so streaming
-    straight through is not an option.
+    temporary file; a budget of 0 or less spills at once. The permutation
+    needs random access, so streaming straight through is not an option.
     """
     spool = tempfile.SpooledTemporaryFile(max_size=memory_budget)
+    if memory_budget <= 0:
+        spool.rollover()  # a max_size of 0 would mean no limit at all
     shutil.copyfileobj(source, spool, length=1024 * 1024)
     spool.seek(0)
     return spool

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .files import _read_exactly
 from .seasoning import generate_pepper
-from .variants import AshVariant
+from .variants import ASH2, AshVariant
 
 MAGIC = b"ASHP"
 VERSION = 0x01
@@ -58,12 +58,12 @@ class FrameType(IntEnum):
 # turns a bare int into its member.
 _FRAME_TYPES = {int(t): t for t in FrameType}
 
-# Largest payload of each frame type in either variant (ASH-2 pepper and
-# section sizes); read_frame refuses a longer declared length.
+# Largest payload of each frame type in either variant (ASH-2 has the larger
+# pepper and sections); both parsers refuse a longer declared length.
 _MAX_PAYLOAD = {
-    FrameType.PEPPER_SHARE: 128,
-    FrameType.CHALLENGE: 128,
-    FrameType.RESPONSE: 64,
+    FrameType.PEPPER_SHARE: ASH2.pepper_size,
+    FrameType.CHALLENGE: ASH2.pepper_size,
+    FrameType.RESPONSE: ASH2.section_size,
     FrameType.VERDICT: 1,
 }
 
@@ -92,7 +92,7 @@ def encode_frame(frame: ProtocolFrame) -> bytes:
 
 
 def _check_header(header: bytes) -> tuple[FrameType, int]:
-    """Check magic, then version, then type; return the type and the declared length."""
+    """Check magic, version, type, then the length cap; return the type and length."""
     if header[:4] != MAGIC:
         raise BadMagicError(f"bad magic {header[:4]!r}")
     if header[4] != VERSION:
@@ -100,7 +100,13 @@ def _check_header(header: bytes) -> tuple[FrameType, int]:
     frame_type = _FRAME_TYPES.get(header[5])
     if frame_type is None:
         raise BadFrameTypeError(f"unknown frame type {header[5]:#x}")
-    return frame_type, int.from_bytes(header[6:HEADER_SIZE], "big")
+    length = int.from_bytes(header[6:HEADER_SIZE], "big")
+    if length > _MAX_PAYLOAD[frame_type]:
+        raise FrameError(
+            f"{frame_type.name} frame declares {length} payload bytes, "
+            f"at most {_MAX_PAYLOAD[frame_type]} allowed"
+        )
+    return frame_type, length
 
 
 def decode_frame(data: bytes) -> tuple[ProtocolFrame, bytes]:
@@ -128,11 +134,6 @@ def read_frame(stream: BinaryIO) -> ProtocolFrame | None:
         raise TruncatedFrameError("stream ended inside a frame header")
     # validate the header before trusting its length field
     frame_type, length = _check_header(header)
-    if length > _MAX_PAYLOAD[frame_type]:
-        raise FrameError(
-            f"{frame_type.name} frame declares {length} payload bytes, "
-            f"at most {_MAX_PAYLOAD[frame_type]} allowed"
-        )
     payload = _read_exactly(stream, length)
     if len(payload) < length:
         raise TruncatedFrameError("stream ended inside a frame payload")

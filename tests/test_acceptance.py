@@ -11,7 +11,6 @@ import random
 import pytest
 
 from ash.digest import AshDigest, create, encode, verify
-from ash.files import digest_stream
 from ash.protocol import (
     Challenger,
     FrameType,
@@ -22,7 +21,7 @@ from ash.protocol import (
     read_frame,
     verdict_accepted,
 )
-from ash.errors import ProtocolError
+from ash.errors import FrameError, ProtocolError
 from ash.restructure import interleave
 from ash.seasoning import apply_pepper, combine_shares
 from ash.toyhash import collide, demonstrate_cascade
@@ -157,10 +156,23 @@ def test_criterion_8_xor_algebra():
 def test_criterion_9_protocol_fuzz():
     rng = random.Random(0xFA)
 
-    # codec round trip, 10,000 random frames
+    # codec round trip, 10,000 random frames up to each type's largest
+    # payload (an ASH-2 pepper or section, or a verdict byte); the first five
+    # declare 1 MiB and are refused from the header
+    limits = {
+        FrameType.PEPPER_SHARE: 128,
+        FrameType.CHALLENGE: 128,
+        FrameType.RESPONSE: 64,
+        FrameType.VERDICT: 1,
+    }
     for i in range(10_000):
-        size = (1 << 20) if i < 5 else rng.randrange(0, 2048)
-        frame = ProtocolFrame(rng.choice(list(FrameType)), rng.randbytes(size))
+        frame_type = rng.choice(list(FrameType))
+        size = (1 << 20) if i < 5 else rng.randrange(0, limits[frame_type] + 1)
+        frame = ProtocolFrame(frame_type, rng.randbytes(size))
+        if i < 5:
+            with pytest.raises(FrameError, match="declares 1048576 payload bytes"):
+                decode_frame(encode_frame(frame))
+            continue
         decoded, rest = decode_frame(encode_frame(frame))
         assert decoded == frame and rest == b""
 
@@ -218,7 +230,7 @@ def test_criterion_10_large_file_equivalence(tmp_path):
 
     pepper = random.Random(0x0B).randbytes(64)
     with open(path, "rb") as handle:
-        streamed = digest_stream(handle, ASH1, pepper)
+        streamed = create(handle, ASH1, pepper)
     in_memory = create(path.read_bytes(), ASH1, pepper)
     assert encode(streamed, "tagged") == encode(in_memory, "tagged")
     _report(10, "two-cursor and in-memory paths agree on a sparse 1 GiB file (256 MiB budget)")

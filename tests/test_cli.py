@@ -111,6 +111,16 @@ def test_hash_stdin_with_tiny_memory_budget(sample):
     assert spooled == direct
 
 
+@pytest.mark.parametrize("command", ["hash", "verify"])
+def test_a_negative_memory_budget_is_refused(sample, command):
+    digest = run_cli("hash", str(sample), check=True).stdout.decode().strip()
+    argv = {"hash": ["hash"], "verify": ["verify", digest]}[command]
+    result = run_cli(*argv, "--memory-budget", "-1", str(sample))
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert b"--memory-budget: must be 0 or more, got -1" in result.stderr
+
+
 def test_hash_bad_pepper_hex(sample):
     assert run_cli("hash", "--pepper", "zz", str(sample)).returncode == 2
     assert run_cli("hash", "--pepper", "00" * 63, str(sample)).returncode == 2

@@ -19,13 +19,7 @@ from hypothesis import strategies as st
 import ash.files
 from ash.digest import create, dynamic_section, encode, verify
 from ash.errors import AshError
-from ash.files import (
-    _CHUNK_HALVES,
-    DEFAULT_MEMORY_BUDGET,
-    digest_file,
-    digest_stream,
-    spool_to_seekable,
-)
+from ash.files import _CHUNK_HALVES, DEFAULT_MEMORY_BUDGET, spool_to_seekable
 from ash.toyhash import toy_hash, toy_variant
 from ash.variants import ASH1, ASH2
 
@@ -58,13 +52,19 @@ BOUNDARY_SIZES += [CHUNK_BYTES // 2 - 1, CHUNK_BYTES // 2, CHUNK_BYTES - 1, CHUN
 BOUNDARY_SIZES += [3 * CHUNK_BYTES_ASH2 + 1000]
 
 
+def _create_on_open_file(path, variant, pepper=None):
+    """``create`` on a file opened by path, as the CLI calls it."""
+    with open(path, "rb") as stream:
+        return create(stream, variant, pepper)
+
+
 @pytest.mark.parametrize("variant", [ASH1, ASH2], ids=["ash1", "ash2"])
 def test_stream_matches_in_memory_at_boundaries(variant):
     rng = random.Random(70)
     pepper = rng.randbytes(variant.pepper_size)
     for size in BOUNDARY_SIZES:
         data = rng.randbytes(size)
-        assert digest_stream(io.BytesIO(data), variant, pepper) == create(
+        assert create(io.BytesIO(data), variant, pepper) == create(
             data, variant, pepper
         ), f"size {size}"
 
@@ -74,7 +74,7 @@ def test_stream_matches_in_memory_random_sizes():
     for _ in range(100):
         data = rng.randbytes(rng.randrange(0, 5000))
         pepper = rng.randbytes(64)
-        assert digest_stream(io.BytesIO(data), ASH1, pepper) == create(data, ASH1, pepper)
+        assert create(io.BytesIO(data), ASH1, pepper) == create(data, ASH1, pepper)
 
 
 def test_digest_file_round_trip(tmp_path):
@@ -83,14 +83,14 @@ def test_digest_file_round_trip(tmp_path):
     path = tmp_path / "payload.bin"
     path.write_bytes(data)
     pepper = rng.randbytes(64)
-    assert digest_file(path, ASH1, pepper) == create(data, ASH1, pepper)
+    assert _create_on_open_file(path, ASH1, pepper) == create(data, ASH1, pepper)
 
 
 def test_digest_file_random_pepper_verifies(tmp_path):
     data = b"file with a random pepper"
     path = tmp_path / "f.bin"
     path.write_bytes(data)
-    d = digest_file(path, ASH1)
+    d = _create_on_open_file(path, ASH1)
     assert create(data, ASH1, d.pepper) == d
 
 
@@ -99,7 +99,7 @@ def test_stream_ignores_current_position():
     pepper = bytes(64)
     handle = io.BytesIO(data)
     handle.seek(500)
-    assert digest_stream(handle, ASH1, pepper) == create(data, ASH1, pepper)
+    assert create(handle, ASH1, pepper) == create(data, ASH1, pepper)
 
 
 class _Unseekable(io.RawIOBase):
@@ -121,14 +121,24 @@ def test_spool_within_memory_budget():
     with spool_to_seekable(_Unseekable(data), memory_budget=DEFAULT_MEMORY_BUDGET) as spool:
         assert spool.read() == data
         spool.seek(0)
-        assert digest_stream(spool, ASH1, bytes(64)) == create(data, ASH1, bytes(64))
+        assert create(spool, ASH1, bytes(64)) == create(data, ASH1, bytes(64))
 
 
 def test_spool_spills_to_disk_below_budget():
     data = random.Random(75).randbytes(100_000)
     with spool_to_seekable(_Unseekable(data), memory_budget=1024) as spool:
         assert spool._rolled  # SpooledTemporaryFile went to disk
-        assert digest_stream(spool, ASH1, bytes(64)) == create(data, ASH1, bytes(64))
+        assert create(spool, ASH1, bytes(64)) == create(data, ASH1, bytes(64))
+
+
+@pytest.mark.parametrize("size", [0, 3 << 20])
+def test_spool_with_a_zero_budget_spills_at_once(size):
+    # SpooledTemporaryFile reads a max_size of 0 as "no limit", so a budget
+    # of 0 once held the whole input in memory
+    data = random.Random(90).randbytes(size)
+    with spool_to_seekable(io.BytesIO(data), memory_budget=0) as spool:
+        assert spool._rolled
+        assert spool.read() == data
 
 
 def test_tagged_encoding_identical_between_paths(tmp_path):
@@ -137,7 +147,7 @@ def test_tagged_encoding_identical_between_paths(tmp_path):
     path = tmp_path / "big.bin"
     path.write_bytes(data)
     pepper = rng.randbytes(64)
-    assert encode(digest_file(path, ASH1, pepper), "tagged") == encode(
+    assert encode(_create_on_open_file(path, ASH1, pepper), "tagged") == encode(
         create(data, ASH1, pepper), "tagged"
     )
 
@@ -148,13 +158,13 @@ def _check_against_oracle(variant, message, pepper, tmp_path=None):
     )
     for source in (message, bytearray(message), memoryview(message)):
         assert encode(create(source, variant, pepper), "binary") == expected
-    assert encode(digest_stream(io.BytesIO(message), variant, pepper), "binary") == expected
+    assert encode(create(io.BytesIO(message), variant, pepper), "binary") == expected
     s = variant.section_size
     assert dynamic_section(io.BytesIO(message), variant, pepper) == expected[s : 2 * s]
     if tmp_path is not None:
         path = tmp_path / "message.bin"
         path.write_bytes(message)
-        assert encode(digest_file(path, variant, pepper), "binary") == expected
+        assert encode(_create_on_open_file(path, variant, pepper), "binary") == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,7 +229,7 @@ def test_input_that_shrinks_mid_read_raises(size):
     threads = threading.active_count()
     stream = _Shrinking(random.Random(77).randbytes(size), reads)
     with pytest.raises(AshError, match="shrank"):
-        digest_stream(stream, ASH1, bytes(64))
+        create(stream, ASH1, bytes(64))
     assert threading.active_count() == threads
 
 
@@ -298,7 +308,7 @@ def test_concurrent_multi_chunk_digests_match_the_oracle():
 
     def work(i):
         for _ in range(3):
-            results[i] = encode(digest_stream(io.BytesIO(messages[i]), ASH1, pepper), "binary")
+            results[i] = encode(create(io.BytesIO(messages[i]), ASH1, pepper), "binary")
             if results[i] != expected[i]:
                 return
 
@@ -405,7 +415,7 @@ def test_zero_chunks_skip_the_permutation_and_the_xor(monkeypatch):
     caller = threading.get_ident()
     for case, chunks in (("all-zero", 1), ("equal-runs", 2)):
         calls.clear()
-        digest_stream(io.BytesIO(_zero_chunk_message(ASH1, case)), ASH1, bytes(64))
+        create(io.BytesIO(_zero_chunk_message(ASH1, case)), ASH1, bytes(64))
         zips = [thread for name, thread in calls if name == "interleave_runs"]
         xors = [thread for name, thread in calls if name == "apply_pepper"]
         assert zips == [caller] * chunks
@@ -502,7 +512,7 @@ def test_input_that_grows_is_hashed_at_its_snapshot_length(size, stream_type):
     else:
         stream = _GrowsWhileRead(data)
     pepper = random.Random(83).randbytes(64)
-    result = encode(digest_stream(stream, ASH1, pepper), "binary")
+    result = encode(create(stream, ASH1, pepper), "binary")
     assert len(stream.getvalue()) > size  # it did grow while being hashed
     assert result == oracle_digest(data, pepper, hashlib.sha256, 64, 8)
 
@@ -526,7 +536,7 @@ def test_interrupt_mid_digest_joins_the_worker():
     threads = threading.active_count()
     stream = _Interrupted(random.Random(84).randbytes(3 * CHUNK_BYTES + 500), reads=5)
     with pytest.raises(KeyboardInterrupt):
-        digest_stream(stream, ASH1, bytes(64))
+        create(stream, ASH1, bytes(64))
     assert threading.active_count() == threads
 
 
@@ -570,7 +580,7 @@ def test_memory_stays_flat_for_every_entry_point(variant, entry, tmp_path):
             "create": lambda: create(message, variant, pepper),
             "verify": lambda: verify(message, claimed),
             "dynamic_section": lambda: dynamic_section(message, variant, pepper),
-            "digest_file": lambda: digest_file(path, variant, pepper),
+            "digest_file": lambda: _create_on_open_file(path, variant, pepper),
         }
         runs = []
         for _ in range(3):

@@ -1,5 +1,6 @@
 """Frame codec and the challenge-response / pepper-agreement machinery."""
 
+import io
 import random
 
 import pytest
@@ -27,6 +28,23 @@ from ash.protocol import (
 from ash.seasoning import combine_shares
 from ash.variants import ASH1, ASH2
 
+# Largest payload of each frame type: an ASH-2 pepper, an ASH-2 section, one byte.
+PAYLOAD_LIMITS = {
+    FrameType.PEPPER_SHARE: 128,
+    FrameType.CHALLENGE: 128,
+    FrameType.RESPONSE: 64,
+    FrameType.VERDICT: 1,
+}
+
+
+def _read_one_frame(raw):
+    """read_frame over raw bytes, as decode_frame's twin: the frame and the unread rest."""
+    stream = io.BytesIO(raw)
+    return read_frame(stream), stream.read()
+
+
+PARSERS = {"decode_frame": decode_frame, "read_frame": _read_one_frame}
+
 
 def test_empty_payload_frame_is_ten_bytes():
     raw = encode_frame(ProtocolFrame(FrameType.VERDICT, b""))
@@ -36,9 +54,9 @@ def test_empty_payload_frame_is_ten_bytes():
 
 def test_codec_round_trip_with_remainder():
     rng = random.Random(50)
+    types = [rng.choice(list(FrameType)) for _ in range(20)]
     frames = [
-        ProtocolFrame(rng.choice(list(FrameType)), rng.randbytes(rng.randrange(0, 300)))
-        for _ in range(20)
+        ProtocolFrame(t, rng.randbytes(rng.randrange(0, PAYLOAD_LIMITS[t] + 1))) for t in types
     ]
     buffer = b"".join(encode_frame(f) for f in frames) + b"tail"
     for expected in frames:
@@ -48,11 +66,15 @@ def test_codec_round_trip_with_remainder():
 
 
 def test_codec_round_trip_large_payloads():
+    # the largest payload of each type decodes; 64 KiB and 1 MiB are refused
     rng = random.Random(51)
-    for size in (0, 1, 65535, 1 << 20):
-        frame = ProtocolFrame(FrameType.PEPPER_SHARE, rng.randbytes(size))
+    for frame_type, limit in PAYLOAD_LIMITS.items():
+        frame = ProtocolFrame(frame_type, rng.randbytes(limit))
         decoded, rest = decode_frame(encode_frame(frame))
         assert decoded == frame and rest == b""
+        for size in (65535, 1 << 20):
+            with pytest.raises(FrameError, match=f"declares {size} payload bytes"):
+                decode_frame(encode_frame(ProtocolFrame(frame_type, rng.randbytes(size))))
 
 
 def test_decode_errors_are_distinct():
@@ -97,15 +119,7 @@ def test_read_frame_refuses_oversized_length_before_reading_payload():
     assert stream.requests == [HEADER_SIZE]
 
 
-@pytest.mark.parametrize(
-    "frame_type,limit",
-    [
-        (FrameType.PEPPER_SHARE, 128),
-        (FrameType.CHALLENGE, 128),
-        (FrameType.RESPONSE, 64),
-        (FrameType.VERDICT, 1),
-    ],
-)
+@pytest.mark.parametrize("frame_type,limit", PAYLOAD_LIMITS.items())
 def test_read_frame_bounds_each_frame_type(frame_type, limit):
     largest = encode_frame(ProtocolFrame(frame_type, bytes(limit)))
     assert read_frame(_RecordingStream(largest)) == ProtocolFrame(frame_type, bytes(limit))
@@ -114,6 +128,23 @@ def test_read_frame_bounds_each_frame_type(frame_type, limit):
     with pytest.raises(FrameError):
         read_frame(stream)
     assert stream.requests == [HEADER_SIZE]
+
+
+@pytest.mark.parametrize("parser", PARSERS)
+@pytest.mark.parametrize("frame_type", PAYLOAD_LIMITS, ids=lambda t: t.name.lower())
+def test_both_parsers_share_one_payload_bound(frame_type, parser):
+    # a frame that declares and carries one byte more than its type allows
+    # is refused by either parser, with the same error
+    limit = PAYLOAD_LIMITS[frame_type]
+    largest = encode_frame(ProtocolFrame(frame_type, bytes(limit)))
+    assert PARSERS[parser](largest + b"tail") == (ProtocolFrame(frame_type, bytes(limit)), b"tail")
+    too_long = encode_frame(ProtocolFrame(frame_type, bytes(limit + 1)))
+    with pytest.raises(FrameError) as caught:
+        PARSERS[parser](too_long)
+    assert type(caught.value) is FrameError
+    assert str(caught.value) == (
+        f"{frame_type.name} frame declares {limit + 1} payload bytes, at most {limit} allowed"
+    )
 
 
 def test_read_frame_assembles_a_payload_from_short_reads():
