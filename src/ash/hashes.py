@@ -1,8 +1,8 @@
 """Black-box interface over iterated hash functions.
 
-The construction never looks inside the base hash; anything exposing a
-block size, a digest size, and a deterministic compute can serve, which
-is what lets the base be swapped out as stronger functions appear.
+The construction never looks inside the base hash; anything with a block
+size, a digest size and a hashlib-style ``new()`` (incremental ``update``
+calls, then ``digest``) can serve, so stronger functions can be swapped in.
 """
 
 from __future__ import annotations

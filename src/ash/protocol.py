@@ -24,10 +24,9 @@ data.
 from __future__ import annotations
 
 import hmac
-import os
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import BinaryIO, Callable
+from typing import BinaryIO
 
 from .digest import dynamic_section
 from .errors import (
@@ -54,12 +53,12 @@ class FrameType(IntEnum):
     VERDICT = 0x04
 
 
-# Wire byte -> member: the one check of a frame type, a dict lookup that also
-# turns a bare int into its member.
+# Wire byte or bare int -> member, looked up only by ``_frame_type``.
 _FRAME_TYPES = {int(t): t for t in FrameType}
 
 # Largest payload of each frame type in either variant (ASH-2 has the larger
-# pepper and sections); both parsers refuse a longer declared length.
+# pepper and sections). Building and parsing refuse a longer one through
+# ``_check_length``, so a frame that can be encoded can be decoded.
 _MAX_PAYLOAD = {
     FrameType.PEPPER_SHARE: ASH2.pepper_size,
     FrameType.CHALLENGE: ASH2.pepper_size,
@@ -70,19 +69,35 @@ _MAX_PAYLOAD = {
 
 @dataclass(frozen=True)
 class ProtocolFrame:
-    """One frame; a bare int type is stored as its ``FrameType`` member."""
+    """One frame; a bare int type becomes its member. ``encode_frame`` caps the payload."""
 
     frame_type: FrameType
     payload: bytes
 
     def __post_init__(self) -> None:
-        frame_type = _FRAME_TYPES.get(self.frame_type)
-        if frame_type is None:
-            raise BadFrameTypeError(f"unknown frame type {self.frame_type:#x}")
-        object.__setattr__(self, "frame_type", frame_type)
+        object.__setattr__(self, "frame_type", _frame_type(self.frame_type))
+
+
+def _frame_type(value: int) -> FrameType:
+    """The member for a wire byte or bare int; refuse any other value."""
+    frame_type = _FRAME_TYPES.get(value)
+    if frame_type is None:
+        raise BadFrameTypeError(f"unknown frame type {value:#x}")
+    return frame_type
+
+
+def _check_length(frame_type: FrameType, length: int) -> None:
+    """Refuse a payload longer than its frame type can carry."""
+    if length > _MAX_PAYLOAD[frame_type]:
+        raise FrameError(
+            f"{frame_type.name} frame declares {length} payload bytes, "
+            f"at most {_MAX_PAYLOAD[frame_type]} allowed"
+        )
 
 
 def encode_frame(frame: ProtocolFrame) -> bytes:
+    """The wire bytes of a frame; a payload either parser would refuse is refused here."""
+    _check_length(frame.frame_type, len(frame.payload))
     return (
         MAGIC
         + bytes((VERSION, frame.frame_type))
@@ -97,15 +112,9 @@ def _check_header(header: bytes) -> tuple[FrameType, int]:
         raise BadMagicError(f"bad magic {header[:4]!r}")
     if header[4] != VERSION:
         raise BadVersionError(f"unsupported version {header[4]:#x}")
-    frame_type = _FRAME_TYPES.get(header[5])
-    if frame_type is None:
-        raise BadFrameTypeError(f"unknown frame type {header[5]:#x}")
+    frame_type = _frame_type(header[5])
     length = int.from_bytes(header[6:HEADER_SIZE], "big")
-    if length > _MAX_PAYLOAD[frame_type]:
-        raise FrameError(
-            f"{frame_type.name} frame declares {length} payload bytes, "
-            f"at most {_MAX_PAYLOAD[frame_type]} allowed"
-        )
+    _check_length(frame_type, length)
     return frame_type, length
 
 
@@ -117,7 +126,7 @@ def decode_frame(data: bytes) -> tuple[ProtocolFrame, bytes]:
     end = HEADER_SIZE + length
     if len(data) < end:
         raise TruncatedFrameError(
-            f"payload declares {length} bytes but only {len(data) - HEADER_SIZE} present"
+            f"{length}-byte payload has only {len(data) - HEADER_SIZE} bytes present"
         )
     return ProtocolFrame(frame_type, data[HEADER_SIZE:end]), data[end:]
 
@@ -168,18 +177,17 @@ class Challenger:
     pepper across sessions, and drive an instance from one thread at a time.
     """
 
-    def __init__(self, variant: AshVariant, rng: Callable[[int], bytes] = os.urandom):
+    def __init__(self, variant: AshVariant):
         self.variant = variant
         self.phase = Phase.IDLE
         self.pepper: bytes | None = None
         self.accepted: bool | None = None
-        self._rng = rng
 
     def issue(self) -> ProtocolFrame:
         """Produce the challenge frame carrying a fresh pepper."""
         if self.phase is not Phase.IDLE:
             raise ProtocolError(f"cannot issue a challenge in phase {self.phase.value}")
-        pepper = generate_pepper(self.variant, self._rng)
+        pepper = generate_pepper(self.variant)
         self.pepper = pepper
         self.phase = Phase.AWAITING_RESPONSE
         return ProtocolFrame(FrameType.CHALLENGE, pepper)

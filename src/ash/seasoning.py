@@ -9,24 +9,15 @@ to the message itself before the pipeline runs.
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import SizeMismatchError
 from .variants import AshVariant
 
 
-def generate_pepper(variant: AshVariant, rng: Callable[[int], bytes] = os.urandom) -> bytes:
-    """Draw one block of randomness.
-
-    ``rng`` defaults to the operating system source; passing anything
-    deterministic is for tests only.
-    """
-    pepper = rng(variant.pepper_size)
-    if len(pepper) != variant.pepper_size:
-        raise SizeMismatchError(
-            f"randomness source returned {len(pepper)} bytes, wanted {variant.pepper_size}"
-        )
-    return pepper
+def generate_pepper(variant: AshVariant) -> bytes:
+    """Draw one block of randomness from the operating system source."""
+    return os.urandom(variant.pepper_size)
 
 
 def apply_pepper(stream: bytes, pepper: bytes, *, mask: int | None = None) -> bytes:

@@ -69,6 +69,111 @@ def test_known_answer_multi_block_both_variants():
     assert d2.dynamic_section.hex() == MSG300_ASH2_DYNAMIC
 
 
+def _chunk_message(length: int, tail: int) -> bytes:
+    """Zeros, then ``tail`` bytes counting 0..250 over and over (a period prime to both blocks)."""
+    return bytes(length - tail) + (bytes(range(251)) * (tail // 251 + 1))[:tail]
+
+
+# Known answers over several pipeline chunks of 2048 half-block pairs: the
+# lengths pad to exactly one chunk, to two with a short last chunk, to six,
+# and to three whose first two chunks are all zeros (only a 4 KiB tail is
+# not), which takes the zero-chunk path. Made with the oracle and
+# cross-checked against the benchmark's numpy reference.
+# (variant, length, tail, static section hex, dynamic section hex)
+CHUNK_KNOWN_ANSWERS = [
+    (
+        ASH1, 131063, 131063,
+        "b1eb7d95fd3d3ea35b8f0fe7151e6f446c1dd26b18e641b07621621e8a732d41",
+        "61f9830d09af32628d6a852187568d76cf13789462540f37731fb4d5e59c7bc1",
+    ),
+    (
+        ASH1, 132072, 132072,
+        "ea0282f911beb6e7dd526789b4d08e722f4fd6c845823fff55d48273658f90c2",
+        "7b343d3880b60efcb18c6d0335a49483726ea55e909d1e35e12fef3f87b5eaed",
+    ),
+    (
+        ASH1, 786332, 786332,
+        "c3e737261607b2523042d9cf326842b6061c00734ee566d97993ae31ddba236a",
+        "462766dc79494c82182ae73dd17400f0af22e034d57932df5f075bb62df5f049",
+    ),
+    (
+        ASH1, 388216, 4096,
+        "661f42821102e49c3455a9709321f5796a01f82b66812bfaa8ae86a7dce33b62",
+        "b75da853007b8d1b6ab0e94f87546b66891ac6eb516e71de21b68e5a5899b8ee",
+    ),
+    (
+        ASH2, 262127, 262127,
+        (
+            "466485e95f0d3dde35f46b7c38ed96939f38fc2b1c599361b4772bc5390e8d9e"
+            "4250646f65c0ee3dbeb11d8eb4c35a0c52c2de9ee429984d85469c65ee0fe2e5"
+        ),
+        (
+            "2bcec72d727bfb2eb2b456259281f3d60c7ecf18a48b9edc2d8b1de272f91971"
+            "0827b48dba872de4e64c9e433c341a79971f175dde9ead0d3013091f9f1fb6e6"
+        ),
+    ),
+    (
+        ASH2, 263144, 263144,
+        (
+            "baea95a379531d8ec14df81a0022c1c184f925e705c7bc86b75a5002482d2e13"
+            "a83c51a55772df98afb916133262b289dd7f5cb38598693a6e441789c7277fd5"
+        ),
+        (
+            "434d2c4c0929e81f0c9dcf2d46c25e24491804d4160ddb516e7edad9a87cce69"
+            "6a3fb80a96a37f874e46c249d65d5fe47c4bcfa68613faaf7a5d1ba670a3df37"
+        ),
+    ),
+    (
+        ASH2, 1572764, 1572764,
+        (
+            "d7673572b6c7508f5cabf2fa8819ef737d73b071742d8396b31ac38f2c6f8ff8"
+            "41b580005e84567456a428e4d484d2b847d1d641a30658285e46af82f403840a"
+        ),
+        (
+            "5c37d8f342e8ed9e8552a5b9bb9d8d786d1fced0207ff7362a301a7fbd5a82bc"
+            "1e6e58f2d5ca55d2496e25b118c8b268915d51b3c9689a6d31c87169ad820071"
+        ),
+    ),
+    (
+        ASH2, 781432, 4096,
+        (
+            "abcad0607ad74bfe5806f28109bf73e89150098cbf530f78e4a9d1f5e8cd4a13"
+            "d940f182606bd125a903959cfa8005c5e679bccc2333e8eb4f1286992d542e76"
+        ),
+        (
+            "f4566e39595042f3c9cda398102bf908edeaa02382395436d3d5cb66ed6101dd"
+            "6d179ff62838564f88398d9f2e76b657d92636f939c90b162027b588b3ebe2d8"
+        ),
+    ),
+]
+CHUNK_KNOWN_ANSWER_IDS = [
+    "ash1-1-chunk",
+    "ash1-2-chunks",
+    "ash1-6-chunks",
+    "ash1-zero-chunks",
+    "ash2-1-chunk",
+    "ash2-2-chunks",
+    "ash2-6-chunks",
+    "ash2-zero-chunks",
+]
+
+
+@pytest.mark.parametrize(
+    "variant,length,tail,static,dynamic", CHUNK_KNOWN_ANSWERS, ids=CHUNK_KNOWN_ANSWER_IDS
+)
+def test_known_answers_over_several_chunks(variant, length, tail, static, dynamic, tmp_path):
+    message = _chunk_message(length, tail)
+    pepper = PEP300_1 if variant is ASH1 else PEP300_2
+    path = tmp_path / "message.bin"
+    path.write_bytes(message)
+    with open(path, "rb") as handle:
+        for source in (message, handle):
+            d = create(source, variant, pepper)
+            assert (d.static_section.hex(), d.dynamic_section.hex()) == (static, dynamic)
+            assert verify(source, d)
+            assert dynamic_section(source, variant, pepper).hex() == dynamic
+
+
 def test_create_matches_oracle_on_random_messages():
     rng = random.Random(30)
     for _ in range(100):

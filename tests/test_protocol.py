@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import ash.protocol
 from ash.errors import (
     BadFrameTypeError,
     BadMagicError,
@@ -35,6 +36,11 @@ PAYLOAD_LIMITS = {
     FrameType.RESPONSE: 64,
     FrameType.VERDICT: 1,
 }
+
+
+def _raw_frame(frame_type, payload):
+    """Wire bytes built by hand, so a payload over the cap can reach the parsers."""
+    return b"ASHP\x01" + bytes((frame_type,)) + len(payload).to_bytes(4, "big") + payload
 
 
 def _read_one_frame(raw):
@@ -123,7 +129,7 @@ def test_read_frame_refuses_oversized_length_before_reading_payload():
 def test_read_frame_bounds_each_frame_type(frame_type, limit):
     largest = encode_frame(ProtocolFrame(frame_type, bytes(limit)))
     assert read_frame(_RecordingStream(largest)) == ProtocolFrame(frame_type, bytes(limit))
-    too_long = encode_frame(ProtocolFrame(frame_type, bytes(limit + 1)))
+    too_long = _raw_frame(frame_type, bytes(limit + 1))
     stream = _RecordingStream(too_long)
     with pytest.raises(FrameError):
         read_frame(stream)
@@ -138,11 +144,27 @@ def test_both_parsers_share_one_payload_bound(frame_type, parser):
     limit = PAYLOAD_LIMITS[frame_type]
     largest = encode_frame(ProtocolFrame(frame_type, bytes(limit)))
     assert PARSERS[parser](largest + b"tail") == (ProtocolFrame(frame_type, bytes(limit)), b"tail")
-    too_long = encode_frame(ProtocolFrame(frame_type, bytes(limit + 1)))
+    too_long = _raw_frame(frame_type, bytes(limit + 1))
     with pytest.raises(FrameError) as caught:
         PARSERS[parser](too_long)
     assert type(caught.value) is FrameError
     assert str(caught.value) == (
+        f"{frame_type.name} frame declares {limit + 1} payload bytes, at most {limit} allowed"
+    )
+
+
+@pytest.mark.parametrize("frame_type", PAYLOAD_LIMITS, ids=lambda t: t.name.lower())
+def test_encode_frame_refuses_what_the_parsers_refuse(frame_type):
+    # building applies the parsers' cap: a frame that encodes also decodes
+    limit = PAYLOAD_LIMITS[frame_type]
+    largest = ProtocolFrame(frame_type, bytes(limit))
+    assert encode_frame(largest) == _raw_frame(frame_type, bytes(limit))
+    with pytest.raises(FrameError) as built:
+        encode_frame(ProtocolFrame(frame_type, bytes(limit + 1)))
+    with pytest.raises(FrameError) as parsed:
+        decode_frame(_raw_frame(frame_type, bytes(limit + 1)))
+    assert type(built.value) is FrameError
+    assert str(built.value) == str(parsed.value) == (
         f"{frame_type.name} frame declares {limit + 1} payload bytes, at most {limit} allowed"
     )
 
@@ -363,14 +385,15 @@ def test_frames_built_from_bare_ints_are_refused_as_protocol_errors():
 
 
 @pytest.mark.parametrize("variant", [ASH1, ASH2], ids=["ash1", "ash2"])
-def test_frames_built_from_bare_ints_are_answered_like_members(variant):
+def test_frames_built_from_bare_ints_are_answered_like_members(variant, monkeypatch):
     message = b"the same bytes on both ends"
     pepper = bytes(range(variant.pepper_size))
     by_int = Responder(variant).answer(ProtocolFrame(2, pepper), message)
     by_member = Responder(variant).answer(ProtocolFrame(FrameType.CHALLENGE, pepper), message)
     assert by_int == by_member and by_int.frame_type is FrameType.RESPONSE
 
-    challenger = Challenger(variant, rng=lambda n: pepper[:n])
+    monkeypatch.setattr(ash.protocol, "generate_pepper", lambda _variant: pepper)
+    challenger = Challenger(variant)
     challenger.issue()
     verdict = challenger.check(ProtocolFrame(3, by_int.payload), message)
     assert challenger.accepted is True

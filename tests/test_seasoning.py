@@ -20,11 +20,6 @@ def test_generated_peppers_are_independent():
     assert len(seen) == 1000
 
 
-def test_generate_pepper_rejects_short_source():
-    with pytest.raises(SizeMismatchError):
-        generate_pepper(ASH1, rng=lambda n: b"\x00" * (n - 1))
-
-
 def test_zero_pepper_is_identity():
     stream = random.Random(20).randbytes(64 * 5)
     assert apply_pepper(stream, bytes(64)) == stream
