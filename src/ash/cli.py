@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 from typing import BinaryIO, Iterator
 
@@ -35,10 +36,17 @@ def _stdin() -> BinaryIO:
 
 
 def _open_input(path: str, memory_budget: int) -> BinaryIO:
-    if path == "-":
-        return files.spool_to_seekable(_stdin(), memory_budget)
-    stream = open(path, "rb")
-    if stream.seekable():
+    """The input, by path or ``-``, as a seekable stream for the caller to close.
+
+    A non-empty regular file read from its start is hashed in place. All else
+    is spooled: a pipe, a device, a /proc file (size 0), a part-read stdin.
+    """
+    stream = _stdin() if path == "-" else open(path, "rb")
+    try:
+        info = os.fstat(stream.fileno())
+    except OSError:  # no descriptor: an in-memory standard input
+        info = None
+    if info and stat.S_ISREG(info.st_mode) and info.st_size and not stream.tell():
         return stream
     try:
         return files.spool_to_seekable(stream, memory_budget)
@@ -218,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=_memory_budget,
             default=files.DEFAULT_MEMORY_BUDGET,
             metavar="BYTES",
-            help="in-memory limit for non-seekable input before spilling to disk",
+            help="in-memory limit for spooled input (pipes, devices) before spilling to disk",
         )
 
     p_pepper = sub.add_parser("pepper", help="generate or combine pepper material")

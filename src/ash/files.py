@@ -135,55 +135,47 @@ def _sections(
     step = min(_CHUNK_HALVES, pairs)
     full = step * variant.block_size
     mask = int.from_bytes(pepper * step, "big")
-    # A one-chunk input is never all zeros (its second run ends in the
-    # length field, and the empty message's first run holds 0x80), so only
-    # a longer one looks for zero chunks. The zero run is built once two
-    # runs are equal, and the tiled pepper once a chunk is all zeros, so
-    # other inputs hold neither. The short last chunk never equals the zero
-    # run, being shorter.
-    zero = tiled = None
-
     static_hash = variant.base.new() if static else None
     dynamic_hash = variant.base.new()
-    worker = None
+    # A one-chunk input is never all zeros (its second run ends in the length
+    # field; the empty message's first run holds 0x80), so only a longer one
+    # builds the zero run, which the short last chunk never equals.
+    worker = zero = tiled = None
     if pairs > step:
         _keep_chunk_pages(full)
         worker = _HashWorker(dynamic_hash, pepper)
-    update = dynamic_hash.update if worker is None else worker.put
+        zero = bytes(step * half)
     try:
         for k in range(0, pairs, step):
             m = min(step, pairs - k)
             first = view.read_at(k * half, m * half)
             second = view.read_at(mid + k * half, m * half)
-            if pairs > step and first == second:
-                if zero is None:
-                    zero = bytes(step * half)
-                if first == zero:
-                    # Zipping zeros gives zeros, and XORing zeros with the
-                    # pepper gives the pepper tiled: only the SHA passes remain.
-                    if static_hash is not None:
-                        static_hash.update(first)
-                        static_hash.update(second)
-                    if tiled is None:
-                        tiled = pepper * step
-                    update(tiled)
-                    continue
+            if first == zero and second == zero:
+                # Zipping zeros gives zeros, and XORing zeros with the
+                # pepper gives the pepper tiled: only the SHA passes remain.
+                if static_hash is not None:
+                    static_hash.update(first)
+                    static_hash.update(second)
+                if tiled is None:
+                    tiled = pepper * step
+                worker.put(tiled)
+                continue
             segment = interleave_runs(first, second, half)
             # the short last chunk takes the leading bytes of the tile; a
             # zero shift would copy the whole mask
             n = len(segment)
             tile = mask if n == full else mask >> 8 * (full - n)
-            if worker is not None and static_hash is not None:
-                # Handed off first, so the worker's XOR runs while this
-                # thread runs the static pass with the interpreter lock
-                # released.
-                worker.put(segment, tile)
-                static_hash.update(segment)
-            else:
-                # one chunk, or no static pass to overlap: the XOR stays here
+            if worker is None:
                 if static_hash is not None:
                     static_hash.update(segment)
-                update(apply_pepper(segment, pepper, mask=tile))
+                dynamic_hash.update(apply_pepper(segment, pepper, mask=tile))
+            elif static_hash is None:
+                worker.put(apply_pepper(segment, pepper, mask=tile))
+            else:
+                # Handed off first, so the worker's XOR runs while this thread
+                # runs the static pass with the interpreter lock released.
+                worker.put(segment, tile)
+                static_hash.update(segment)
     finally:
         # an error raised in the loop takes precedence over the worker's
         failure = worker.close() if worker is not None else None

@@ -3,6 +3,7 @@
 import io
 import os
 import pathlib
+import resource
 import signal
 import subprocess
 import sys
@@ -12,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ash import cli
+from ash import cli, files
+from ash.digest import create, encode
 from ash.files import _CHUNK_HALVES
+from ash.variants import ASH1
 from oracle import oracle_ash1, oracle_ash2
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
@@ -373,6 +376,94 @@ def test_hash_sparse_file_matches_the_oracle(tmp_path, variant):
     assert bytes.fromhex(text) == oracle(path.read_bytes(), pepper)
 
 
+def _limit_file_size():
+    resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, 1 << 20))
+
+
+@pytest.mark.parametrize(
+    "command, device", [("hash", "/dev/zero"), ("hash", "/dev/urandom"), ("verify", "/dev/zero")]
+)
+def test_an_endless_device_is_spooled_not_read_as_empty(tmp_path, command, device):
+    # A seekable device reports size 0, so read in place it gave the empty
+    # message's digest. Spooled, it spills at once with a budget of 0 and
+    # fails at the 1 MiB file-size limit: Python ignores SIGXFSZ, so the
+    # write fails with EFBIG, and the spill file has no name to leave behind.
+    if not os.path.exists(device):
+        pytest.skip(f"no {device} on this system")
+    empty = tmp_path / "empty"
+    empty.write_bytes(b"")
+    digest = run_cli("hash", str(empty), check=True).stdout.decode().strip()
+    argv = {"hash": [], "verify": [digest]}[command]
+    env = _cli_env()
+    env["TMPDIR"] = str(tmp_path)
+    result = subprocess.run(
+        [sys.executable, "-m", "ash.cli", command, "--memory-budget", "0", *argv, device],
+        capture_output=True, env=env, timeout=60, preexec_fn=_limit_file_size,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == b""
+    assert result.stderr.decode().splitlines() == ["ash: [Errno 27] File too large"]
+    assert os.listdir(tmp_path) == ["empty"]
+
+
+def test_a_proc_file_is_hashed_by_its_contents():
+    # a /proc file reports size 0, and some cannot even seek to their end
+    path = pathlib.Path("/proc/version")
+    if not path.exists():
+        pytest.skip("no /proc/version on this system")
+    pepper = "6d" * 64
+    by_path = run_cli("hash", "--pepper", pepper, str(path), check=True).stdout
+    piped = run_cli("hash", "--pepper", pepper, "-", stdin=path.read_bytes(), check=True).stdout
+    assert by_path == piped
+
+
+def test_redirected_standard_input_is_hashed_in_place(sample, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a non-empty regular file was spooled")
+
+    monkeypatch.setattr(files, "spool_to_seekable", refuse)
+    pepper = "7e" * 64
+    stdout = io.TextIOWrapper(io.BytesIO())
+    with open(sample, "rb") as handle:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(handle))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(["hash", "--pepper", pepper, "-"]) == 0
+    expected = create(sample.read_bytes(), ASH1, bytes.fromhex(pepper))
+    assert stdout.buffer.getvalue() == f"{encode(expected)}\n".encode()
+
+
+def test_standard_input_part_way_into_its_file_is_hashed_from_there(sample):
+    pepper = "8f" * 64
+    with open(sample, "rb") as stdin:
+        stdin.seek(100)
+        result = subprocess.run(
+            [sys.executable, "-m", "ash.cli", "hash", "--pepper", pepper, "-"],
+            stdin=stdin, capture_output=True, env=_cli_env(), timeout=60,
+        )
+    assert result.returncode == 0, result.stderr
+    expected = create(sample.read_bytes()[100:], ASH1, bytes.fromhex(pepper))
+    assert result.stdout == f"{encode(expected)}\n".encode()
+
+
+@pytest.mark.parametrize("redirected", [False, True], ids=["path", "redirected"])
+@pytest.mark.parametrize("kind", ["empty-file", "dev-null"])
+def test_empty_inputs_give_the_empty_messages_digest(tmp_path, kind, redirected):
+    path = tmp_path / "empty" if kind == "empty-file" else pathlib.Path(os.devnull)
+    if kind == "empty-file":
+        path.write_bytes(b"")
+    pepper = "9a" * 64
+    if redirected:
+        with open(path, "rb") as stdin:
+            result = subprocess.run(
+                [sys.executable, "-m", "ash.cli", "hash", "--pepper", pepper, "-"],
+                stdin=stdin, capture_output=True, env=_cli_env(), timeout=60,
+            )
+    else:
+        result = run_cli("hash", "--pepper", pepper, str(path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"{encode(create(b'', ASH1, bytes.fromhex(pepper)))}\n".encode()
+
+
 def test_ctrl_c_exits_130_with_one_line(tmp_path):
     fifo = tmp_path / "input.fifo"
     os.mkfifo(fifo)
@@ -380,6 +471,9 @@ def test_ctrl_c_exits_130_with_one_line(tmp_path):
     proc = subprocess.Popen(
         [sys.executable, "-m", "ash.cli", "hash", str(fifo)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        # Python turns SIGINT into KeyboardInterrupt only if it starts with
+        # the default action; a shell starts background jobs with it ignored
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     try:
         # opening a FIFO for writing waits for its reader, so once this
@@ -477,15 +571,20 @@ def test_closed_stdin_exits_2_with_one_line(sample, command):
 
 @pytest.fixture(scope="module")
 def fuzz_paths(tmp_path_factory):
-    """Paths for the fuzzed argv: a file, an empty file, a directory, a missing path."""
+    """Paths for the fuzzed argv: a file, an empty file, a directory, a missing path.
+
+    Where present, /dev/null and /proc/version add a device and a file that
+    reports size 0. /dev/zero is left out: it never ends.
+    """
     root = tmp_path_factory.mktemp("fuzz")
     data = root / "data.bin"
     data.write_bytes(b"fuzzed cli input\n" * 9)
     (root / "empty").write_bytes(b"")
     digest = run_cli("hash", "--pepper", "5a" * 64, str(data), check=True).stdout
     (root / "data.ash").write_bytes(digest)
+    devices = [p for p in (os.devnull, "/proc/version") if os.path.exists(p)]
     return {
-        "paths": [str(data), str(root / "empty"), str(root), str(root / "missing"), "-"],
+        "paths": [str(data), str(root / "empty"), str(root), str(root / "missing"), "-"] + devices,
         "digest": digest.decode().strip(),
         "digest_file": str(root / "data.ash"),
     }

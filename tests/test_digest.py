@@ -11,6 +11,7 @@ from ash.digest import (
     decode,
     dynamic_section,
     encode,
+    sections_match,
     verify,
 )
 from ash.errors import DigestFormatError, SizeMismatchError
@@ -271,6 +272,18 @@ def test_verify_rejects_section_bit_flips():
     )
     assert not verify(message, bad_static)
     assert not verify(message, bad_dynamic)
+
+
+@pytest.mark.parametrize("variant", [ASH1, ASH2])
+def test_sections_match_compares_both_sections_and_not_the_pepper(variant):
+    d = create(MSG300, variant)
+    zero_pepper = bytes(variant.pepper_size)
+    assert sections_match(d, AshDigest(variant, d.static_section, d.dynamic_section, zero_pepper))
+    bad_static = AshDigest(variant, _flip_bit(d.static_section, 5), d.dynamic_section, d.pepper)
+    bad_dynamic = AshDigest(variant, d.static_section, _flip_bit(d.dynamic_section, 200), d.pepper)
+    for bad in (bad_static, bad_dynamic):
+        assert not sections_match(d, bad)
+        assert not sections_match(bad, d)
 
 
 def test_digest_binds_its_pepper():
