@@ -198,12 +198,29 @@ def _cmd_challenge(args: argparse.Namespace) -> int:
         return 0 if accepted else 1
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser, which takes operands after options as well.
+
+    Plain argparse matches ``verify``'s optional FILE to nothing when an
+    option follows DIGEST, and then refuses a FILE after that option as
+    unrecognized. Here an optional operand that would match nothing just
+    before an option waits for the operands after it.
+    """
+
+    def _match_arguments_partial(self, actions, arg_strings_pattern):
+        counts = super()._match_arguments_partial(actions, arg_strings_pattern)
+        if arg_strings_pattern[sum(counts) : sum(counts) + 1] == "O":
+            while counts and not counts[-1]:
+                counts.pop()
+        return counts
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ash",
         description="Seasoned hashing: restructured, peppered digests over SHA-2.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--variant", choices=("ash1", "ash2"), default="ash1")

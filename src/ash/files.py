@@ -241,8 +241,12 @@ def spool_to_seekable(source: BinaryIO, memory_budget: int = DEFAULT_MEMORY_BUDG
     needs random access, so streaming straight through is not an option.
     """
     spool = tempfile.SpooledTemporaryFile(max_size=memory_budget)
-    if memory_budget <= 0:
-        spool.rollover()  # a max_size of 0 would mean no limit at all
-    shutil.copyfileobj(source, spool, length=1024 * 1024)
+    try:
+        if memory_budget <= 0:
+            spool.rollover()  # a max_size of 0 would mean no limit at all
+        shutil.copyfileobj(source, spool, length=1024 * 1024)
+    except BaseException:
+        spool.close()
+        raise
     spool.seek(0)
     return spool

@@ -46,35 +46,36 @@ def pad_message(message: bytes, variant: AshVariant) -> bytes:
 def interleave(halves: Sequence[bytes]) -> bytes:
     """Reorder 2N half-blocks as h1, h(N+1), h2, h(N+2), ... and rejoin.
 
-    With one block (N=1) the order is unchanged. An odd half count is
-    rejected.
+    With one block (N=1) the order is unchanged. An odd half count, an
+    empty half, or halves of more than one length are rejected.
     """
-    if not halves or len(halves) % 2 != 0:
-        raise SizeMismatchError(f"cannot interleave {len(halves)} halves")
+    size = len(halves[0]) if halves else 0
+    if not size or len(halves) % 2 or any(len(half) != size for half in halves):
+        raise SizeMismatchError(
+            f"cannot interleave {len(halves)} halves: need an even count of one non-zero size"
+        )
     n = len(halves) // 2
-    return interleave_runs(b"".join(halves[:n]), b"".join(halves[n:]), len(halves[0]))
+    return interleave_runs(b"".join(halves[:n]), b"".join(halves[n:]), size)
 
 
 def interleave_runs(first: bytes, second: bytes, half_size: int) -> bytes:
     """Zip two equal-length runs of half-blocks: f0 s0 f1 s1 ...
 
-    Each output block takes one half from each run. The copy goes by
-    strided slices, one per 8-byte word of a half-block (one per byte when
-    the half size is not a multiple of 8), so the Python loop runs a few
-    times per call however long the runs are. Runs of fewer than three
-    times that many pairs are zipped pair by pair, which skips the fixed
-    cost of the strided copy: below that, the strided copy is the slower.
+    Each output block takes one half from each run. Halves of whole 8-byte
+    words are copied by strided slices, one per word of a half-block, so the
+    Python loop runs a few times per call however long the runs are. Runs
+    of fewer than three times that many pairs, and halves that are not
+    whole words, are zipped pair by pair: below that count the strided copy
+    is the slower, and no standard variant has such halves.
     """
     if len(first) != len(second) or len(first) % half_size != 0:
         raise SizeMismatchError("half-block runs must be equal block-aligned lengths")
-    width = half_size // 8 if half_size % 8 == 0 else half_size
-    if len(first) < 3 * width * half_size:
+    width = half_size // 8
+    if half_size % 8 or len(first) < 3 * width * half_size:
         halves = range(0, len(first), half_size)
         return b"".join([run[k : k + half_size] for k in halves for run in (first, second)])
     seg = bytearray(2 * len(first))
-    out, a, b = seg, first, second
-    if half_size % 8 == 0:
-        out, a, b = (memoryview(x).cast("Q") for x in (seg, first, second))
+    out, a, b = (memoryview(x).cast("Q") for x in (seg, first, second))
     step = 2 * width
     for j in range(width):
         out[j::step] = a[j::width]

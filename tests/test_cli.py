@@ -149,6 +149,20 @@ def test_verify_fresh_digest(sample):
     assert result.returncode == 0
 
 
+@pytest.mark.parametrize("where", ["before", "between", "after"])
+def test_verify_takes_its_options_anywhere_among_the_operands(sample, where):
+    # plain argparse gives FILE its default at DIGEST when an option follows
+    digest = run_cli("hash", str(sample), check=True).stdout.decode().strip()
+    option = ["--memory-budget", "5"]
+    argv = {
+        "before": [*option, digest, str(sample)],
+        "between": [digest, *option, str(sample)],
+        "after": [digest, str(sample), *option],
+    }[where]
+    result = run_cli("verify", *argv)
+    assert (result.returncode, result.stderr) == (0, b"ash: match\n")
+
+
 def test_verify_detects_appended_byte(sample):
     digest = run_cli("hash", str(sample), check=True).stdout.decode().strip()
     sample.write_bytes(sample.read_bytes() + b"!")

@@ -1,6 +1,8 @@
 """Streaming file digests against the in-memory pipeline."""
 
 import dataclasses
+import errno
+import gc
 import hashlib
 import io
 import os
@@ -11,6 +13,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -139,6 +142,35 @@ def test_spool_with_a_zero_budget_spills_at_once(size):
     with spool_to_seekable(io.BytesIO(data), memory_budget=0) as spool:
         assert spool._rolled
         assert spool.read() == data
+
+
+class _FailsAfter(io.RawIOBase):
+    """Gives ``size`` zero bytes, then fails every read with EIO."""
+
+    def __init__(self, size):
+        self.left = size
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        if not self.left:
+            raise OSError(errno.EIO, "input/output error")
+        count = min(len(buffer), self.left)
+        buffer[:count] = bytes(count)
+        self.left -= count
+        return count
+
+
+@pytest.mark.parametrize("budget", [0, 1 << 20])
+def test_a_failed_spool_is_closed_before_the_error_propagates(budget):
+    # 2 MiB is past either budget, so the spool is on disk when the read fails
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(OSError, match="input/output error"):
+            spool_to_seekable(_FailsAfter(2 << 20), memory_budget=budget)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_tagged_encoding_identical_between_paths(tmp_path):

@@ -172,6 +172,13 @@ def test_interleave_rejects_odd_count():
         interleave([])
 
 
+def test_interleave_rejects_halves_of_unequal_or_zero_length():
+    # the documented order of these four would be h1 h3 h2 h4 = ab gh cdef ijkl
+    for halves in ([b"ab", b"cdef", b"gh", b"ijkl"], [b"ab", b"cd", b"ef", b"g"], [b"", b""]):
+        with pytest.raises(SizeMismatchError):
+            interleave(halves)
+
+
 @pytest.mark.parametrize("variant", [ASH1, ASH2], ids=["ash1", "ash2"])
 def test_interleave_round_trip(variant):
     rng = random.Random(10)
@@ -248,13 +255,14 @@ def test_interleave_runs_zips_half_blocks():
         interleave_runs(first, second[:32], 32)
 
 
-@pytest.mark.parametrize("half_size", [4, 32, 64])
+@pytest.mark.parametrize("half_size", [4, 12, 32, 64, 68])
 def test_interleave_runs_word_and_byte_copies_agree_with_the_oracle(half_size):
-    # 32 and 64 copy 8-byte words; the toy variant's 4 copies bytes. Fewer
-    # pairs than three times the words (or bytes) per half are zipped pair
-    # by pair instead: 11 and 23 pairs are the last of those for 32 and 64.
+    # 32 and 64 copy 8-byte words once there are at least three times as many
+    # pairs as words per half; 11 and 23 pairs are the last zipped pair by
+    # pair. Halves that are not whole words (the toy variant's 4, 12, 68) go
+    # pair by pair at every count, up to a full 2048-pair chunk.
     rng = random.Random(15)
-    for pairs in (1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 23, 24, 64):
+    for pairs in (1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 23, 24, 64, 2048):
         first, second = rng.randbytes(pairs * half_size), rng.randbytes(pairs * half_size)
         assert interleave_runs(first, second, half_size) == oracle_permute(
             first + second, half_size
