@@ -24,6 +24,10 @@ from .variants import ASH2, AshVariant, get_variant
 # 5 + 512 characters, so anything longer than this is not one.
 _DIGEST_FILE_LIMIT = 4096
 
+# Regular files of at most this many bytes are spooled rather than read in
+# place: sysfs reports this size for every file, whatever its content.
+_PAGE = os.sysconf("SC_PAGE_SIZE")
+
 # Longest share line, line ending aside: an ASH-2 pepper in hex.
 _SHARE_LINE_LIMIT = 2 * ASH2.pepper_size
 
@@ -38,15 +42,17 @@ def _stdin() -> BinaryIO:
 def _open_input(path: str, memory_budget: int) -> BinaryIO:
     """The input, by path or ``-``, as a seekable stream for the caller to close.
 
-    A non-empty regular file read from its start is hashed in place. All else
-    is spooled: a pipe, a device, a /proc file (size 0), a part-read stdin.
+    A regular file larger than one page, read from its start, is hashed in
+    place. All else is spooled: a pipe, a device, a /proc file (size 0), a
+    sysfs file (size 4096 whatever it holds), a part-read stdin, and any
+    file of a page or less, which costs one short copy.
     """
     stream = _stdin() if path == "-" else open(path, "rb")
     try:
         info = os.fstat(stream.fileno())
     except OSError:  # no descriptor: an in-memory standard input
         info = None
-    if info and stat.S_ISREG(info.st_mode) and info.st_size and not stream.tell():
+    if info and stat.S_ISREG(info.st_mode) and info.st_size > _PAGE and not stream.tell():
         return stream
     try:
         return files.spool_to_seekable(stream, memory_budget)

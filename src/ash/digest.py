@@ -81,20 +81,25 @@ def dynamic_section(message: bytes | BinaryIO, variant: AshVariant, pepper: byte
     return _sections(message, variant, pepper, static=False)[1]
 
 
+def _match(static: bytes, dynamic: bytes, claimed: AshDigest) -> bool:
+    # both comparisons always run, so the time says nothing of which failed
+    ok_static = hmac.compare_digest(static, claimed.static_section)
+    ok_dynamic = hmac.compare_digest(dynamic, claimed.dynamic_section)
+    return ok_static and ok_dynamic
+
+
 def sections_match(computed: AshDigest, claimed: AshDigest) -> bool:
     """Constant-time comparison of both sections (pepper travels in clear)."""
-    ok_static = hmac.compare_digest(computed.static_section, claimed.static_section)
-    ok_dynamic = hmac.compare_digest(computed.dynamic_section, claimed.dynamic_section)
-    return ok_static and ok_dynamic
+    return _match(computed.static_section, computed.dynamic_section, claimed)
 
 
 def verify(message: bytes | BinaryIO, claimed: AshDigest) -> bool:
     """Recompute with the embedded pepper; both sections must match.
 
     ``message`` is read as ``create`` reads it, stream size snapshot included.
+    The recomputed sections are compared as they come, with no digest built.
     """
-    recomputed = create(message, claimed.variant, claimed.pepper)
-    return sections_match(recomputed, claimed)
+    return _match(*_sections(message, claimed.variant, claimed.pepper), claimed)
 
 
 def create_pair(message: bytes, variant: AshVariant = ASH1) -> tuple[AshDigest, AshDigest]:

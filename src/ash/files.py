@@ -23,8 +23,6 @@ a pipe seekable; it imports nothing from ``ash.digest``.
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 from typing import Any, BinaryIO
 
 from .errors import AshError, SizeMismatchError
@@ -239,12 +237,19 @@ def spool_to_seekable(source: BinaryIO, memory_budget: int = DEFAULT_MEMORY_BUDG
     Stays in memory up to ``memory_budget`` bytes, then spills to a
     temporary file; a budget of 0 or less spills at once. The permutation
     needs random access, so streaming straight through is not an option.
+    The copy goes through ``shutil``'s default buffer (64 KiB on Linux, a
+    pipe's capacity), so the spool holds at most that much beyond the budget.
     """
+    # Imported here: a regular file larger than a page never spools, so
+    # hashing one and the CLI's start-up do not load these modules.
+    import shutil
+    import tempfile
+
     spool = tempfile.SpooledTemporaryFile(max_size=memory_budget)
     try:
         if memory_budget <= 0:
             spool.rollover()  # a max_size of 0 would mean no limit at all
-        shutil.copyfileobj(source, spool, length=1024 * 1024)
+        shutil.copyfileobj(source, spool)
     except BaseException:
         spool.close()
         raise

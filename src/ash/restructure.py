@@ -14,6 +14,7 @@ second-half halves per chunk and zips them with it.
 
 from __future__ import annotations
 
+import struct
 from typing import Sequence
 
 from .errors import MessageTooLongError, SizeMismatchError
@@ -59,21 +60,29 @@ def interleave(halves: Sequence[bytes]) -> bytes:
 
 
 def interleave_runs(first: bytes, second: bytes, half_size: int) -> bytes:
-    """Zip two equal-length runs of half-blocks: f0 s0 f1 s1 ...
+    """Zip two equal-length runs of half-blocks into bytes: f0 s0 f1 s1 ...
 
-    Each output block takes one half from each run. Halves of whole 8-byte
-    words are copied by strided slices, one per word of a half-block, so the
-    Python loop runs a few times per call however long the runs are. Runs
-    of fewer than three times that many pairs, and halves that are not
-    whole words, are zipped pair by pair: below that count the strided copy
-    is the slower, and no standard variant has such halves.
+    Each output block takes one half from each run. One pair is joined as
+    it stands. Halves of whole 8-byte words are copied by strided slices,
+    one per word of a half-block, so the Python loop runs a few times per
+    call however long the runs are. Runs of fewer than 16 times that many
+    pairs (64 for ASH-1, 128 for ASH-2), and halves that are not whole
+    words, are split into halves by one ``struct.unpack`` per run and
+    joined in turn: below that count the strided copy is the slower, and
+    no standard variant has such halves.
     """
     if len(first) != len(second) or len(first) % half_size != 0:
         raise SizeMismatchError("half-block runs must be equal block-aligned lengths")
+    pairs = len(first) // half_size
+    if pairs == 1:
+        return b"".join((first, second))
     width = half_size // 8
-    if half_size % 8 or len(first) < 3 * width * half_size:
-        halves = range(0, len(first), half_size)
-        return b"".join([run[k : k + half_size] for k in halves for run in (first, second)])
+    if half_size % 8 or pairs < 16 * width:
+        layout = f"{half_size}s" * pairs
+        halves = [b""] * (2 * pairs)
+        halves[::2] = struct.unpack(layout, first)
+        halves[1::2] = struct.unpack(layout, second)
+        return b"".join(halves)
     seg = bytearray(2 * len(first))
     out, a, b = (memoryview(x).cast("Q") for x in (seg, first, second))
     step = 2 * width

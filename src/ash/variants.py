@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import AshError
 from .hashes import BlockHashFunction, sha256, sha512
@@ -16,7 +17,10 @@ class AshVariant:
     block, each digest section is one output digest, half-blocks are half
     an input block, and the serialized digest is static + dynamic + pepper.
     ``length_field_size`` is the width of the big-endian bit-length field
-    written by the padding layer.
+    written by the padding layer. Each derived size is computed on first
+    use and kept on the instance, out of equality, hashing and repr, so a
+    digest looks it up as a plain attribute; ``dataclasses.replace`` builds
+    a new instance, which derives its sizes from its own base.
     """
 
     name: str
@@ -30,23 +34,23 @@ class AshVariant:
         if self.length_field_size < 1:
             raise AshError(f"{self.name}: length field must be at least one byte")
 
-    @property
+    @cached_property
     def block_size(self) -> int:
         return self.base.block_size
 
-    @property
+    @cached_property
     def half_size(self) -> int:
         return self.base.block_size // 2
 
-    @property
+    @cached_property
     def section_size(self) -> int:
         return self.base.digest_size
 
-    @property
+    @cached_property
     def pepper_size(self) -> int:
         return self.base.block_size
 
-    @property
+    @cached_property
     def total_size(self) -> int:
         return 2 * self.section_size + self.pepper_size
 

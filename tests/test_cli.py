@@ -431,19 +431,63 @@ def test_a_proc_file_is_hashed_by_its_contents():
     assert by_path == piped
 
 
-def test_redirected_standard_input_is_hashed_in_place(sample, monkeypatch):
+# Stable sysfs files whose contents are much shorter than the page sysfs reports.
+_SYSFS_FILES = ("/sys/kernel/mm/transparent_hugepage/enabled", "/sys/devices/system/cpu/online")
+
+
+def test_a_sysfs_file_is_hashed_by_its_contents():
+    # sysfs reports a size of one page whatever a file holds; read in place,
+    # the file would come up short and the CLI exit 2 ("input shrank")
+    path = next((pathlib.Path(p) for p in _SYSFS_FILES if os.path.exists(p)), None)
+    if path is None:
+        pytest.skip("no sysfs on this system")
+    pepper = "5c" * 64
+    result = run_cli("hash", "--pepper", pepper, str(path))
+    assert result.returncode == 0, result.stderr
+    expected = create(path.read_bytes(), ASH1, bytes.fromhex(pepper))
+    assert result.stdout == f"{encode(expected)}\n".encode()
+
+
+@pytest.fixture
+def sample_over_a_page(tmp_path):
+    path = tmp_path / "large.bin"
+    lines = os.sysconf("SC_PAGE_SIZE") // 33 + 1
+    path.write_bytes(b"some file contents worth hashing\n" * lines)
+    return path
+
+
+def test_redirected_standard_input_is_hashed_in_place(sample_over_a_page, monkeypatch):
     def refuse(*args):
-        raise AssertionError("a non-empty regular file was spooled")
+        raise AssertionError("a regular file larger than a page was spooled")
 
     monkeypatch.setattr(files, "spool_to_seekable", refuse)
     pepper = "7e" * 64
     stdout = io.TextIOWrapper(io.BytesIO())
-    with open(sample, "rb") as handle:
+    with open(sample_over_a_page, "rb") as handle:
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(handle))
         monkeypatch.setattr(sys, "stdout", stdout)
         assert cli.main(["hash", "--pepper", pepper, "-"]) == 0
-    expected = create(sample.read_bytes(), ASH1, bytes.fromhex(pepper))
+    expected = create(sample_over_a_page.read_bytes(), ASH1, bytes.fromhex(pepper))
     assert stdout.buffer.getvalue() == f"{encode(expected)}\n".encode()
+
+
+def test_start_up_and_an_in_place_hash_leave_tempfile_unloaded(sample_over_a_page):
+    # -S: site can load tempfile itself (a certifi .pth does), which would
+    # hide an import of it by ash
+    code = (
+        "import sys, ash.cli\n"
+        "ash.cli.build_parser()\n"
+        "loaded = ['tempfile' in sys.modules]\n"
+        "assert ash.cli.main(['hash', sys.argv[1]]) == 0\n"
+        "loaded.append('tempfile' in sys.modules)\n"
+        "print(loaded, file=sys.stderr)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(sample_over_a_page)],
+        capture_output=True, env=_cli_env(), timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.decode().strip() == "[False, False]"
 
 
 def test_standard_input_part_way_into_its_file_is_hashed_from_there(sample):

@@ -1,5 +1,6 @@
 """Digest assembly, verification, pairing, and the three encodings."""
 
+import io
 import random
 
 import pytest
@@ -272,6 +273,20 @@ def test_verify_rejects_section_bit_flips():
     )
     assert not verify(message, bad_static)
     assert not verify(message, bad_dynamic)
+
+
+@pytest.mark.parametrize("as_stream", [False, True], ids=["bytes", "stream"])
+@pytest.mark.parametrize("variant", [ASH1, ASH2])
+def test_verify_fails_when_either_section_alone_is_flipped(variant, as_stream):
+    def message():
+        return io.BytesIO(MSG300) if as_stream else MSG300
+
+    d = create(MSG300, variant)
+    assert verify(message(), d) is True
+    for bit in (0, 8 * variant.section_size - 1):
+        static, dynamic = _flip_bit(d.static_section, bit), _flip_bit(d.dynamic_section, bit)
+        assert verify(message(), AshDigest(variant, static, d.dynamic_section, d.pepper)) is False
+        assert verify(message(), AshDigest(variant, d.static_section, dynamic, d.pepper)) is False
 
 
 @pytest.mark.parametrize("variant", [ASH1, ASH2])

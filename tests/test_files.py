@@ -144,6 +144,20 @@ def test_spool_with_a_zero_budget_spills_at_once(size):
         assert spool.read() == data
 
 
+@pytest.mark.parametrize("budget", [0, 1 << 20, 2 << 20])
+def test_a_spool_stays_within_its_memory_budget(budget):
+    # the copy buffers count against the budget: two 1 MiB ones alive at
+    # once would take the peak 2 MiB past it, shutil's default 64 KiB do not
+    source = _Unseekable(random.Random(91).randbytes(4 << 20))
+    tracemalloc.start()
+    try:
+        with spool_to_seekable(source, memory_budget=budget):
+            peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < budget + (512 << 10)
+
+
 class _FailsAfter(io.RawIOBase):
     """Gives ``size`` zero bytes, then fails every read with EIO."""
 
