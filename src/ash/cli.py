@@ -3,7 +3,11 @@
 Standard output carries only digests and protocol frames; anything meant
 for a human goes to standard error, so the tool can sit in a pipeline.
 Exit codes: 0 success/match/accept, 1 mismatch/reject, 2 usage, format,
-I/O, or protocol errors, 130 interrupted (Ctrl-C).
+I/O, or protocol errors. Run as a program, ``ash`` leaves SIGINT (Ctrl-C)
+to its default action: it ends the process at once, wherever it waits,
+and prints nothing, so a shell sees the process killed by SIGINT and
+stops a loop that ran it. A SIGINT that ``ash`` inherits as ignored, as a
+background job does, stays ignored.
 """
 
 from __future__ import annotations
@@ -268,16 +272,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:  # as the program (module docstring); a caller's handler stays
+        import signal
+
+        if signal.getsignal(signal.SIGINT) is signal.default_int_handler:
+            signal.signal(signal.SIGINT, signal.SIG_DFL)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (AshError, OSError) as exc:
         print(f"ash: {exc}", file=sys.stderr)
         return 2
-    except KeyboardInterrupt:
-        # the digest pipeline has joined its worker thread on the way out
-        print("ash: interrupted", file=sys.stderr)
-        return 130
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """End-to-end runs of the command-line tool."""
 
+import contextlib
+import errno
 import io
 import os
 import pathlib
@@ -8,6 +10,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 from ash import cli, files
 from ash.digest import create, encode
 from ash.files import _CHUNK_HALVES
-from ash.variants import ASH1
+from ash.variants import ASH1, get_variant
 from oracle import oracle_ash1, oracle_ash2
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
@@ -522,33 +525,146 @@ def test_empty_inputs_give_the_empty_messages_digest(tmp_path, kind, redirected)
     assert result.stdout == f"{encode(create(b'', ASH1, bytes.fromhex(pepper)))}\n".encode()
 
 
-def test_ctrl_c_exits_130_with_one_line(tmp_path):
-    fifo = tmp_path / "input.fifo"
-    os.mkfifo(fifo)
-    env = _cli_env()
+def _open_writer(fifo, proc, timeout=30):
+    """FIFO's write end once a reader has opened it, or None if ``proc`` ends first.
+
+    A blocking open would wait forever for a child that exits, or fails,
+    before it opens the FIFO.
+    """
+    deadline = time.monotonic() + timeout
+    while proc.poll() is None and time.monotonic() < deadline:
+        try:
+            fd = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+        except OSError as exc:
+            if exc.errno != errno.ENXIO:  # ENXIO: no reader yet
+                raise
+            time.sleep(0.01)
+            continue
+        os.set_blocking(fd, True)
+        return open(fd, "wb")
+    return None
+
+
+def _start_on_fifo(fifo, *args, sigint=signal.SIG_DFL, env=None):
+    """Start ``ash ARGS FIFO`` with SIGINT at ``sigint`` and wait until it opens FIFO.
+
+    The child's SIGINT is set outright: a child inherits an ignored SIGINT
+    from a test run that a shell started in the background. Returns the
+    process and the FIFO's write end; the child has by then set up its
+    signals and is spooling the input.
+    """
     proc = subprocess.Popen(
-        [sys.executable, "-m", "ash.cli", "hash", str(fifo)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        # Python turns SIGINT into KeyboardInterrupt only if it starts with
-        # the default action; a shell starts background jobs with it ignored
-        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        [sys.executable, "-m", "ash.cli", *args, str(fifo)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env or _cli_env(),
+        preexec_fn=lambda: signal.signal(signal.SIGINT, sigint),
     )
+    writer = _open_writer(fifo, proc)
+    if writer is None:
+        _, err = _finish(proc)
+        raise AssertionError(f"ash never opened its input: {err!r}")
+    return proc, writer
+
+
+def _finish(proc, timeout=10):
     try:
-        # opening a FIFO for writing waits for its reader, so once this
-        # returns the child is past its imports and spooling the input
-        with open(fifo, "wb") as handle:
-            handle.write(b"part of the input" * 1000)
-            handle.flush()
-            proc.send_signal(signal.SIGINT)
-        # A signal that lands just before the child blocks in read() is
-        # acted on when that read returns; closing the writer ends it.
-        out, err = proc.communicate(timeout=60)
+        return proc.communicate(timeout=timeout)
     finally:
         proc.kill()
         proc.wait()
-    assert proc.returncode == 130
-    assert out == b""
-    assert err.decode().splitlines() == ["ash: interrupted"]
+
+
+def test_ctrl_c_on_a_blocked_read_ends_ash_by_sigint_at_once(tmp_path):
+    fifo = tmp_path / "input.fifo"
+    os.mkfifo(fifo)
+    proc, writer = _start_on_fifo(fifo, "hash")
+    with writer:
+        writer.write(b"part of the input" * 1000)
+        writer.flush()
+        proc.send_signal(signal.SIGINT)
+        # the writer stays open, so only the signal can end the child's read
+        out, err = _finish(proc)
+    assert proc.returncode == -signal.SIGINT
+    assert (out, err) == (b"", b"")
+
+
+def test_one_ctrl_c_stops_a_shell_loop_of_ash_runs(tmp_path):
+    # bash ends a loop on SIGINT only when the child it waits for dies of it
+    fifo = tmp_path / "input.fifo"
+    os.mkfifo(fifo)
+    loop = f'for i in 1 2 3; do echo run >&2; "$@" "{fifo}"; done'
+    proc = subprocess.Popen(
+        ["bash", "-c", loop, "bash", sys.executable, "-m", "ash.cli", "hash"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        start_new_session=True,
+    )
+    try:
+        writer = _open_writer(fifo, proc)
+        assert writer is not None, "ash never opened its input"
+        with writer:
+            writer.write(b"part of the input")
+            writer.flush()
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=10)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert proc.returncode == -signal.SIGINT
+    assert err.decode().splitlines() == ["run"]
+
+
+def test_an_ignored_ctrl_c_stays_ignored(tmp_path):
+    fifo = tmp_path / "input.fifo"
+    os.mkfifo(fifo)
+    pepper = "3c" * 64
+    data = b"part of the input" * 1000
+    proc, writer = _start_on_fifo(fifo, "hash", "--pepper", pepper, sigint=signal.SIG_IGN)
+    with writer:
+        writer.write(data)
+        writer.flush()
+        proc.send_signal(signal.SIGINT)
+    out, err = _finish(proc)
+    assert proc.returncode == 0, err
+    assert out == f"{encode(create(data, ASH1, bytes.fromhex(pepper)))}\n".encode()
+
+
+def test_ctrl_c_during_a_spill_to_disk_leaves_no_file(tmp_path):
+    fifo = tmp_path / "input.fifo"
+    os.mkfifo(fifo)
+    spill_dir = tmp_path / "tmp"
+    spill_dir.mkdir()
+    env = dict(_cli_env(), TMPDIR=str(spill_dir))
+    proc, writer = _start_on_fifo(fifo, "hash", "--memory-budget", "0", env=env)
+    with writer:
+        # a write this much larger than the pipe returns only once the child
+        # has copied most of it to its spill file
+        writer.write(bytes(1 << 20))
+        writer.flush()
+        fds = pathlib.Path(f"/proc/{proc.pid}/fd")
+        if fds.is_dir():
+            targets = [os.readlink(fd) for fd in fds.iterdir()]
+            assert any(t.startswith(str(spill_dir)) for t in targets), targets
+        proc.send_signal(signal.SIGINT)
+        _finish(proc)
+    assert proc.returncode == -signal.SIGINT
+    assert list(spill_dir.iterdir()) == []
+
+
+def test_main_with_argv_leaves_the_sigint_handler_alone(sample, capsys):
+    before = signal.getsignal(signal.SIGINT)
+    assert cli.main(["hash", str(sample)]) == 0
+    assert signal.getsignal(signal.SIGINT) is before
+    assert capsys.readouterr().out.startswith("ash1:")
+
+
+def test_start_up_leaves_signal_unloaded():
+    code = "import sys, ash.cli; ash.cli.build_parser(); print('signal' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, env=_cli_env(), timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.decode().strip() == "False"
 
 
 OUTPUT_COMMANDS = {
@@ -750,3 +866,66 @@ def test_fuzzed_cli_exits_0_1_or_2_with_no_traceback(fuzz_paths, data):
         lines = stderr.splitlines()
         assert all(line.startswith("ash: ") for line in lines), (argv, stderr)
         assert len(lines) == 1 if code else len(lines) <= 1, (argv, stderr)
+
+
+@pytest.fixture(scope="module")
+def fuzz_fifo(tmp_path_factory):
+    fifo = tmp_path_factory.mktemp("fifo") / "input.fifo"
+    os.mkfifo(fifo)
+    return fifo
+
+
+@st.composite
+def _fifo_case(draw):
+    """An argv that reads its FILE from a FIFO, the bytes to feed it, and stdin."""
+    payload = draw(st.binary(max_size=4096))
+    variant = draw(st.sampled_from(["ash1", "ash2"]))
+    command = draw(st.sampled_from(["hash", "verify", "challenge"]))
+    budget = ["--memory-budget", str(draw(st.integers(0, 4096)))]
+    if command == "hash":
+        argv = ["hash", "--variant", variant] + budget
+    elif command == "verify":
+        digest = draw(
+            st.sampled_from([payload, payload + b"\0"]).map(
+                lambda m: encode(create(m, get_variant(variant)))
+            )
+            | _WORD
+        )
+        argv = ["verify", digest] + budget
+    else:
+        argv = ["challenge", "--variant", variant, "--role"]
+        argv.append(draw(st.sampled_from(["challenger", "responder"])))
+    return argv, payload, draw(st.binary(max_size=300))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_fifo_case())
+def test_fuzzed_fifo_input_exits_0_1_or_2_with_no_traceback(fuzz_fifo, case):
+    # A child process per case: opening a FIFO blocks until its writer
+    # comes, so the in-process fuzz above leaves FIFOs out.
+    argv, payload, stdin = case
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ash.cli", *argv, str(fuzz_fifo)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+    )
+
+    def feed():  # none at all if the child exits before it opens the FIFO
+        with contextlib.suppress(BrokenPipeError):
+            writer = _open_writer(fuzz_fifo, proc)
+            if writer is not None:
+                with writer:
+                    writer.write(payload)
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        _, err = proc.communicate(stdin, timeout=20)
+    finally:
+        proc.kill()
+        proc.wait()
+        feeder.join(timeout=20)
+    assert not feeder.is_alive()
+    assert proc.returncode in (0, 1, 2), (argv, err)
+    assert b"Traceback" not in err, (argv, err)
+    lines = err.decode().splitlines()
+    assert len(lines) <= 1 and all(line.startswith("ash: ") for line in lines), (argv, err)

@@ -257,12 +257,12 @@ def test_interleave_runs_zips_half_blocks():
 
 @pytest.mark.parametrize("half_size", [4, 12, 32, 64, 68])
 def test_interleave_runs_word_and_byte_copies_agree_with_the_oracle(half_size):
-    # 32 and 64 copy 8-byte words once there are at least 16 times as many
-    # pairs as words per half (64 and 128 pairs); fewer are split by struct.
-    # Halves that are not whole words (the toy variant's 4, 12, 68) are
-    # split by struct at every count, up to a full 2048-pair chunk.
+    # 32-byte halves copy 8-byte words from 178 pairs on; fewer are split
+    # by struct. 64-byte halves, and halves that are not whole words (the
+    # toy variant's 4, 12, 68), are split by struct at every count, up to a
+    # full 2048-pair chunk.
     rng = random.Random(15)
-    for pairs in (1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 23, 24, 63, 64, 127, 128, 2048):
+    for pairs in (1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 23, 24, 63, 64, 127, 128, 177, 178, 179, 2048):
         first, second = rng.randbytes(pairs * half_size), rng.randbytes(pairs * half_size)
         assert interleave_runs(first, second, half_size) == oracle_permute(
             first + second, half_size
@@ -272,11 +272,12 @@ def test_interleave_runs_word_and_byte_copies_agree_with_the_oracle(half_size):
 @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
 @pytest.mark.parametrize("half_size", [4, 32, 64])
 def test_interleave_runs_returns_bytes_for_any_bytes_like_runs(half_size, kind):
-    # one pair is joined as it stands; up to 63 pairs of 32-byte halves and
-    # 127 of 64-byte halves are split by struct, and 64 and 128 pairs take
-    # the word copy, whose memoryview casts must accept each kind of run
+    # one pair is joined as it stands; up to 177 pairs of 32-byte halves and
+    # any count of 64-byte halves are split by struct, and 178 pairs of
+    # 32-byte halves take the word copy, whose memoryview casts must accept
+    # each kind of run
     rng = random.Random(16)
-    for pairs in (1, 2, 11, 12, 23, 24, 63, 64, 127, 128):
+    for pairs in (1, 2, 11, 12, 23, 24, 63, 64, 127, 128, 177, 178):
         first, second = rng.randbytes(pairs * half_size), rng.randbytes(pairs * half_size)
         out = interleave_runs(kind(first), kind(second), half_size)
         assert type(out) is bytes
