@@ -63,9 +63,12 @@ def create(
     """Hash a message, drawing a fresh random pepper unless one is supplied.
 
     ``message`` is bytes-like or a seekable binary stream, hashed from offset 0.
-    A stream's size is a snapshot taken once, at the start: bytes appended
-    while it is hashed are left out, so a growing file gives the digest of
-    its first ``size`` bytes, and one that shrinks below it raises ``AshError``.
+    A stream's size is taken once, at the start. A file read by its
+    descriptor (``open(path, "rb")``) that grows, shrinks or is rewritten
+    while it is hashed raises ``AshError``; the check compares ``fstat``
+    before and after, so it is best effort. A stream with no descriptor
+    is hashed at that snapshot: bytes appended are left out, and one that
+    shrinks below it raises ``AshError``.
     """
     if pepper is None:
         pepper = generate_pepper(variant)
@@ -145,7 +148,7 @@ def decode(encoded: bytes | str) -> AshDigest:
     """
     if isinstance(encoded, str):
         return _decode_text(encoded)
-    raw = bytes(encoded)
+    raw = memoryview(encoded).tobytes()
     binary = next((v for v in (ASH1, ASH2) if len(raw) == v.total_size), None)
     if binary is not None and raw.translate(None, _HEX_TEXT):
         return _from_binary(raw, binary)

@@ -2,11 +2,15 @@
 
 The interleave permutation pairs half-block k with half-block k+N, so the
 second half of the padded stream is needed from the very first output
-block. Rather than buffering everything, ``_sections`` walks the
-first-half region (halves 1..N) and the second-half region (halves
-N+1..2N) with two read cursors in lockstep; each pair of runs is zipped,
-peppered with a mask built once per call, and fed to the section hashes;
-a whole chunk of zeros skips the zip and the XOR, whose results it knows.
+block. Rather than buffering everything, ``_sections`` sizes the input
+once, builds the pad suffix once, and walks the first-half region (halves
+1..N) and the second-half region (halves N+1..2N) in lockstep through one
+reader: bytes-like input is sliced through one flat memoryview, so each
+run is copied and never the whole input; a stream is read at the offsets.
+Each pair of runs is zipped, peppered with a mask built once per call, and
+fed to the section hashes; a whole chunk of zeros skips the zip and the
+XOR, whose results it knows. A file read by its descriptor is refused if
+its ``fstat`` identity, size or times differ after the digest.
 An input longer than one chunk starts one worker thread that owns the
 dynamic hash. The calling thread reads and zips each chunk, hands it to
 the worker, and then runs the static SHA pass over it, with the
@@ -22,6 +26,7 @@ a pipe seekable; it imports nothing from ``ash.digest``.
 
 from __future__ import annotations
 
+import io
 import os
 from typing import Any, BinaryIO
 
@@ -77,39 +82,6 @@ def _read_exactly(stream: BinaryIO, n: int) -> bytes:
     return b"".join(parts)
 
 
-class _PaddedView:
-    """Random-access reads over the input's bytes followed by the pad suffix.
-
-    Bytes-like input is sliced through one flat memoryview, so a read
-    copies its own run and never the whole input; a stream is read at the
-    offsets.
-    """
-
-    def __init__(self, source: bytes | BinaryIO, variant: AshVariant):
-        if isinstance(source, (bytes, bytearray, memoryview)):
-            self._buffer = memoryview(source).cast("B")
-            self.size = len(self._buffer)
-        else:
-            self._buffer = None
-            self._stream = source
-            self.size = source.seek(0, os.SEEK_END)
-        self.suffix = pad_suffix(self.size, variant)
-
-    def read_at(self, offset: int, count: int) -> bytes:
-        end = offset + count
-        if offset >= self.size:
-            return self.suffix[offset - self.size : end - self.size]
-        stop = min(end, self.size)
-        if self._buffer is not None:
-            data = self._buffer[offset:stop].tobytes()
-        else:
-            self._stream.seek(offset)
-            data = _read_exactly(self._stream, stop - offset)
-            if len(data) < stop - offset:
-                raise AshError("input shrank while it was being hashed")
-        return data + self.suffix[: end - stop]
-
-
 def _sections(
     source: bytes | BinaryIO,
     variant: AshVariant,
@@ -119,16 +91,48 @@ def _sections(
     """The static and dynamic sections of bytes or a seekable binary stream.
 
     A stream is hashed from offset 0 whatever its position, and its size
-    is taken once at the start. With ``static=False`` the static hash is
+    is taken once at the start; a file read by its descriptor that changes
+    meanwhile raises ``AshError``. With ``static=False`` the static hash is
     skipped and None stands in for it.
     """
     if len(pepper) != variant.pepper_size:
         raise SizeMismatchError(
             f"pepper is {len(pepper)} bytes, wanted {variant.pepper_size}"
         )
-    view = _PaddedView(source, variant)
+    flat = before = None
+    if isinstance(source, (bytes, bytearray, memoryview)):
+        flat = memoryview(source).cast("B")
+        size = len(flat)
+    else:
+        size = source.seek(0, os.SEEK_END)
+        # Only a file object is asked for its descriptor: fileno() rolls a
+        # SpooledTemporaryFile over to disk.
+        if isinstance(source, (io.FileIO, io.BufferedReader, io.BufferedRandom)):
+            try:
+                fd = source.fileno()
+            except io.UnsupportedOperation:  # a buffer over an in-memory stream
+                pass
+            else:
+                before = os.fstat(fd)
+    suffix = pad_suffix(size, variant)
+
+    def read_at(offset: int, count: int) -> bytes:
+        # count bytes of the padded stream: the input's, then the suffix's
+        end = offset + count
+        if offset >= size:
+            return suffix[offset - size : end - size]
+        stop = min(end, size)
+        if flat is not None:
+            data = flat[offset:stop].tobytes()
+        else:
+            source.seek(offset)
+            data = _read_exactly(source, stop - offset)
+            if len(data) < stop - offset:
+                raise AshError("input shrank while it was being hashed")
+        return data + suffix[: end - stop]
+
     half = variant.half_size
-    pairs = (view.size + len(view.suffix)) // variant.block_size
+    pairs = (size + len(suffix)) // variant.block_size
     mid = pairs * half
     step = min(_CHUNK_HALVES, pairs)
     full = step * variant.block_size
@@ -143,11 +147,19 @@ def _sections(
         _keep_chunk_pages(full)
         worker = _HashWorker(dynamic_hash, pepper)
         zero = bytes(step * half)
+    # The worker XORs only beside a static pass, which this thread runs
+    # meanwhile with the interpreter lock released (hashlib drops it); else
+    # this thread XORs and passes the peppered chunk on.
+    send = None
+    if worker is None:
+        send = dynamic_hash.update
+    elif not static:
+        send = worker.put
     try:
         for k in range(0, pairs, step):
             m = min(step, pairs - k)
-            first = view.read_at(k * half, m * half)
-            second = view.read_at(mid + k * half, m * half)
+            first = read_at(k * half, m * half)
+            second = read_at(mid + k * half, m * half)
             if first == zero and second == zero:
                 # Zipping zeros gives zeros, and XORing zeros with the
                 # pepper gives the pepper tiled: only the SHA passes remain.
@@ -163,22 +175,23 @@ def _sections(
             # zero shift would copy the whole mask
             n = len(segment)
             tile = mask if n == full else mask >> 8 * (full - n)
-            if worker is None:
-                if static_hash is not None:
-                    static_hash.update(segment)
-                dynamic_hash.update(apply_pepper(segment, pepper, mask=tile))
-            elif static_hash is None:
-                worker.put(apply_pepper(segment, pepper, mask=tile))
-            else:
-                # Handed off first, so the worker's XOR runs while this thread
-                # runs the static pass with the interpreter lock released.
+            if send is None:
                 worker.put(segment, tile)
+            else:
+                send(apply_pepper(segment, pepper, mask=tile))
+            if static_hash is not None:
                 static_hash.update(segment)
     finally:
         # an error raised in the loop takes precedence over the worker's
         failure = worker.close() if worker is not None else None
     if failure is not None:
         raise failure
+    if before is not None:
+        # best effort: a rewrite within one tick of the file clock goes unseen
+        after = os.fstat(fd)
+        fields = ("st_dev", "st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
+        if any(getattr(before, name) != getattr(after, name) for name in fields):
+            raise AshError("input changed while it was being hashed")
     return (static_hash.digest() if static else None), dynamic_hash.digest()
 
 
@@ -241,7 +254,8 @@ def spool_to_seekable(source: BinaryIO, memory_budget: int = DEFAULT_MEMORY_BUDG
     pipe's capacity), so the spool holds at most that much beyond the budget.
     """
     # Imported here: a regular file larger than a page never spools, so
-    # hashing one and the CLI's start-up do not load these modules.
+    # hashing one and the CLI's start-up do not load tempfile (argparse's
+    # help formatter has loaded shutil by then).
     import shutil
     import tempfile
 

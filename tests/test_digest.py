@@ -400,6 +400,13 @@ def test_decode_errors_name_the_problem():
         decode("ash1:" + "00" * 100)
 
 
+@pytest.mark.parametrize("count", [128, 256])
+def test_decode_refuses_an_int(count):
+    # bytes(n) is n zero bytes, which would pass as an all-zero digest
+    with pytest.raises(TypeError):
+        decode(count)
+
+
 def test_encode_rejects_unknown_form():
     with pytest.raises(ValueError):
         encode(create(b"x", ASH1), "base64")

@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ash.files
+from ash import cli
 from ash.digest import create, dynamic_section, encode, verify
 from ash.errors import AshError
 from ash.files import _CHUNK_HALVES, DEFAULT_MEMORY_BUDGET, spool_to_seekable
@@ -452,6 +454,30 @@ def _record_calls(monkeypatch, *names):
     return calls
 
 
+@pytest.mark.parametrize("entry", ["create", "verify", "dynamic_section"])
+@pytest.mark.parametrize("source", ["bytes", "stream"])
+@pytest.mark.parametrize("size", [200, 3 * CHUNK_BYTES + 500], ids=["one-chunk", "four-chunks"])
+def test_a_digest_pads_once_and_zips_and_peppers_each_chunk_once(
+    monkeypatch, entry, source, size
+):
+    # The benchmark's spans wrap these three as ash.files globals, so the
+    # chunked core must look each one up there at every call.
+    message = random.Random(91).randbytes(size)
+    claimed = create(message, ASH1, bytes(64))
+    calls = _record_calls(monkeypatch, "pad_suffix", "interleave_runs", "apply_pepper")
+    arg = message if source == "bytes" else io.BytesIO(message)
+    if entry == "create":
+        assert create(arg, ASH1, bytes(64)) == claimed
+    elif entry == "verify":
+        assert verify(arg, claimed)
+    else:
+        assert dynamic_section(arg, ASH1, bytes(64)) == claimed.dynamic_section
+    chunks = 1 if size == 200 else 4
+    names = [name for name, _ in calls]
+    assert names.count("pad_suffix") == 1
+    assert names.count("interleave_runs") == names.count("apply_pepper") == chunks
+
+
 def test_zero_chunks_skip_the_permutation_and_the_xor(monkeypatch):
     # of the three chunks of the all-zero message only the tail is zipped
     # and peppered; "equal-runs" zips both chunk 1 and the tail. The zip
@@ -561,6 +587,63 @@ def test_input_that_grows_is_hashed_at_its_snapshot_length(size, stream_type):
     result = encode(create(stream, ASH1, pepper), "binary")
     assert len(stream.getvalue()) > size  # it did grow while being hashed
     assert result == oracle_digest(data, pepper, hashlib.sha256, 64, 8)
+
+
+def _change_at_first_zip(monkeypatch, path, change):
+    """Have the first ``interleave_runs`` call rewrite the file in place or append to it."""
+    real = ash.files.interleave_runs
+    changed = []
+
+    def changing(*args):
+        if not changed:
+            time.sleep(0.02)  # past a coarse file clock's tick, so the times move
+            with open(path, "r+b") as other:
+                if change == "rewritten":
+                    other.write(random.Random(90).randbytes(path.stat().st_size))
+                else:
+                    other.seek(0, os.SEEK_END)
+                    other.write(b"\xff")
+            changed.append(change)
+        return real(*args)
+
+    monkeypatch.setattr(ash.files, "interleave_runs", changing)
+
+
+@pytest.mark.parametrize("change", ["rewritten", "appended"])
+@pytest.mark.parametrize("entry", ["create", "verify", "ash hash", "ash verify"])
+def test_a_file_changed_while_it_is_hashed_is_refused(
+    monkeypatch, tmp_path, capsys, entry, change
+):
+    # a snapshot of a file read by descriptor would mix two versions of it
+    path = tmp_path / "input.bin"
+    old = random.Random(88).randbytes(1 << 20)
+    path.write_bytes(old)
+    claimed = create(old, ASH1)
+    _change_at_first_zip(monkeypatch, path, change)
+    if entry.startswith("ash "):
+        argv = ["hash", str(path)]
+        if entry == "ash verify":
+            argv = ["verify", encode(claimed), str(path)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", "ash: input changed while it was being hashed\n")
+    else:
+        with open(path, "rb") as stream, pytest.raises(AshError, match="changed while"):
+            create(stream, ASH1) if entry == "create" else verify(stream, claimed)
+
+
+@pytest.mark.parametrize("kind", ["spool", "buffered-bytesio"])
+def test_an_in_memory_stream_is_hashed_without_a_descriptor(kind):
+    # a SpooledTemporaryFile's fileno() would roll it over to disk, and a
+    # BufferedReader over BytesIO has no descriptor to give
+    data = random.Random(89).randbytes(3 * CHUNK_BYTES + 500)
+    if kind == "spool":
+        stream = spool_to_seekable(io.BytesIO(data))
+    else:
+        stream = io.BufferedReader(io.BytesIO(data))
+    with stream:
+        assert create(stream, ASH1, bytes(64)) == create(data, ASH1, bytes(64))
+        if kind == "spool":
+            assert not stream._rolled
 
 
 class _Interrupted(io.BytesIO):
