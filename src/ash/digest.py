@@ -20,11 +20,12 @@ stays flat whatever the message size.
 from __future__ import annotations
 
 import hmac
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import BinaryIO
 
 from .errors import DigestFormatError, SizeMismatchError
 from .files import _sections
+from .record import Record
 from .seasoning import generate_pepper
 from .variants import ASH1, ASH2, AshVariant
 
@@ -32,29 +33,31 @@ _FORMS = ("binary", "hex", "tagged")
 _HEX_TEXT = b"0123456789abcdefABCDEF \t\n\r\x0b\x0c"
 
 
-@dataclass(frozen=True)
-class AshDigest:
+class AshDigest(Record):
     """One composite digest; construction enforces the section sizes."""
 
-    variant: AshVariant
-    static_section: bytes
-    dynamic_section: bytes
-    pepper: bytes
+    __slots__ = ()
+    _fields = ("variant", "static_section", "dynamic_section", "pepper")
 
-    def __post_init__(self) -> None:
-        v = self.variant
-        if len(self.static_section) != v.section_size:
+    def __new__(
+        cls, variant: AshVariant, static_section: bytes, dynamic_section: bytes, pepper: bytes
+    ) -> AshDigest:
+        if len(static_section) != variant.section_size:
             raise SizeMismatchError(
-                f"static section is {len(self.static_section)} bytes, wanted {v.section_size}"
+                f"static section is {len(static_section)} bytes, wanted {variant.section_size}"
             )
-        if len(self.dynamic_section) != v.section_size:
+        if len(dynamic_section) != variant.section_size:
             raise SizeMismatchError(
-                f"dynamic section is {len(self.dynamic_section)} bytes, wanted {v.section_size}"
+                f"dynamic section is {len(dynamic_section)} bytes, wanted {variant.section_size}"
             )
-        if len(self.pepper) != v.pepper_size:
-            raise SizeMismatchError(
-                f"pepper is {len(self.pepper)} bytes, wanted {v.pepper_size}"
-            )
+        if len(pepper) != variant.pepper_size:
+            raise SizeMismatchError(f"pepper is {len(pepper)} bytes, wanted {variant.pepper_size}")
+        return tuple.__new__(cls, (variant, static_section, dynamic_section, pepper))
+
+    variant = property(itemgetter(0))
+    static_section = property(itemgetter(1))
+    dynamic_section = property(itemgetter(2))
+    pepper = property(itemgetter(3))
 
 
 def create(
@@ -68,10 +71,13 @@ def create(
     while it is hashed raises ``AshError``; the check compares ``fstat``
     before and after, so it is best effort. A stream with no descriptor
     is hashed at that snapshot: bytes appended are left out, and one that
-    shrinks below it raises ``AshError``.
+    shrinks below it raises ``AshError``. A bytes-like ``pepper`` is copied
+    to ``bytes``, so the digest keeps it whatever the caller does with theirs.
     """
     if pepper is None:
         pepper = generate_pepper(variant)
+    elif pepper.__class__ is not bytes:
+        pepper = memoryview(pepper).tobytes()
     static, dynamic = _sections(message, variant, pepper)
     return AshDigest(variant, static, dynamic, pepper)
 
@@ -79,8 +85,11 @@ def create(
 def dynamic_section(message: bytes | BinaryIO, variant: AshVariant, pepper: bytes) -> bytes:
     """Just the pepper-bound section, for protocols that exchange it alone.
 
-    ``message`` is bytes-like or a seekable binary stream, hashed from offset 0.
+    ``message`` is bytes-like or a seekable binary stream, hashed from offset 0,
+    and ``pepper`` is bytes-like.
     """
+    if pepper.__class__ is not bytes:
+        pepper = memoryview(pepper).tobytes()
     return _sections(message, variant, pepper, static=False)[1]
 
 

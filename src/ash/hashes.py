@@ -3,6 +3,11 @@
 The construction never looks inside the base hash; anything with a block
 size, a digest size and a hashlib-style ``new()`` (incremental ``update``
 calls, then ``digest``) can serve, so stronger functions can be swapped in.
+
+``BlockHashFunction`` stays a dataclass while the benchmark's tracer
+(``perfbench/spans.py``) swaps in a timed base hash through
+``dataclasses.replace``; dropping ``dataclasses`` here waits on a change to
+the benchmark (ROADMAP items 1 and 2).
 """
 
 from __future__ import annotations

@@ -24,8 +24,8 @@ data.
 from __future__ import annotations
 
 import hmac
-from dataclasses import dataclass
 from enum import Enum, IntEnum
+from operator import itemgetter
 from typing import BinaryIO
 
 from .digest import dynamic_section
@@ -38,6 +38,7 @@ from .errors import (
     TruncatedFrameError,
 )
 from .files import _read_exactly
+from .record import Record
 from .seasoning import generate_pepper
 from .variants import ASH2, AshVariant
 
@@ -67,15 +68,17 @@ _MAX_PAYLOAD = {
 }
 
 
-@dataclass(frozen=True)
-class ProtocolFrame:
+class ProtocolFrame(Record):
     """One frame; a bare int type becomes its member. ``encode_frame`` caps the payload."""
 
-    frame_type: FrameType
-    payload: bytes
+    __slots__ = ()
+    _fields = ("frame_type", "payload")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "frame_type", _frame_type(self.frame_type))
+    def __new__(cls, frame_type: int, payload: bytes) -> ProtocolFrame:
+        return tuple.__new__(cls, (_frame_type(frame_type), payload))
+
+    frame_type = property(itemgetter(0))
+    payload = property(itemgetter(1))
 
 
 def _frame_type(value: int) -> FrameType:

@@ -11,7 +11,7 @@ breaks the effect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SizeMismatchError
 from .hashes import BlockHashFunction
@@ -88,8 +88,7 @@ def collide(block: bytes) -> bytes:
     return w1.to_bytes(4, "big") + w2.to_bytes(4, "big")
 
 
-@dataclass(frozen=True)
-class CascadeReport:
+class CascadeReport(NamedTuple):
     naive_collides: bool
     ash_collides: bool
 

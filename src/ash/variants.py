@@ -1,4 +1,10 @@
-"""Parameter bundles distinguishing the members of the ASH family."""
+"""Parameter bundles distinguishing the members of the ASH family.
+
+``AshVariant`` stays a dataclass while the benchmark's tracer
+(``perfbench/spans.py``) builds traced variants through
+``dataclasses.replace``; dropping ``dataclasses`` here waits on a change to
+the benchmark (ROADMAP items 1 and 2).
+"""
 
 from __future__ import annotations
 

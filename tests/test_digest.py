@@ -1,7 +1,9 @@
 """Digest assembly, verification, pairing, and the three encodings."""
 
 import io
+import pickle
 import random
+from array import array
 
 import pytest
 
@@ -325,10 +327,76 @@ def test_create_pair_properties():
 
 def test_malformed_digest_cannot_be_constructed():
     d = create(b"x", ASH1)
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(SizeMismatchError, match="^static section is 31 bytes, wanted 32$"):
         AshDigest(ASH1, d.static_section[:-1], d.dynamic_section, d.pepper)
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(SizeMismatchError, match="^dynamic section is 33 bytes, wanted 32$"):
+        AshDigest(ASH1, d.static_section, d.dynamic_section + b"\x00", d.pepper)
+    with pytest.raises(SizeMismatchError, match="^pepper is 65 bytes, wanted 64$"):
         AshDigest(ASH1, d.static_section, d.dynamic_section, d.pepper + b"\x00")
+
+
+def test_digest_equals_only_a_digest_with_the_same_fields():
+    d = create(b"fields", ASH1, ZERO1)
+    fields = (d.variant, d.static_section, d.dynamic_section, d.pepper)
+    same = AshDigest(
+        variant=ASH1,
+        static_section=d.static_section,
+        dynamic_section=d.dynamic_section,
+        pepper=ZERO1,
+    )
+    assert same == d and not same != d and hash(same) == hash(d)
+    assert {d: 1}[same] == 1 and pickle.loads(pickle.dumps(d)) == d
+    # the same four values in a plain tuple are not a digest, from either side
+    assert d != fields and fields != d and not d == fields and not fields == d
+    other = AshDigest(ASH1, d.static_section, d.dynamic_section, bytes(range(64)))
+    assert other != d and not other == d
+    assert repr(d) == (
+        f"AshDigest(variant={ASH1!r}, static_section={d.static_section!r}, "
+        f"dynamic_section={d.dynamic_section!r}, pepper={ZERO1!r})"
+    )
+
+
+def test_digest_fields_are_read_only():
+    d = create(b"read only", ASH1)
+    for name in ("variant", "static_section", "dynamic_section", "pepper", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, b"")
+    assert d == create(b"read only", ASH1, d.pepper)
+
+
+@pytest.mark.parametrize("variant", [ASH1, ASH2], ids=["ash1", "ash2"])
+@pytest.mark.parametrize("typecode", ["B", "I"])
+def test_any_contiguous_buffer_is_hashed_as_its_raw_bytes(variant, typecode):
+    pepper = bytes(range(variant.pepper_size))
+    # one chunk and, at 160 KiB, more than one
+    for count in (7, 40000):
+        items = array(typecode, (i % 251 for i in range(count)))
+        expected = create(items.tobytes(), variant, pepper)
+        assert create(items, variant, pepper) == expected
+        assert verify(items, expected)
+        assert dynamic_section(items, variant, pepper) == expected.dynamic_section
+
+
+@pytest.mark.parametrize("message", ["abc", 3, None], ids=["str", "int", "None"])
+def test_a_message_neither_bytes_like_nor_a_stream_is_refused(message):
+    with pytest.raises(TypeError, match=f"not {type(message).__name__}$"):
+        create(message, ASH1)
+
+
+def test_bytes_like_pepper_is_copied_into_the_digest():
+    pepper = bytearray(range(64))
+    d = create(b"pepper", ASH1, pepper)
+    pepper[0] ^= 1
+    assert d.pepper == bytes(range(64)) and type(d.pepper) is bytes
+    assert hash(d) == hash(create(b"pepper", ASH1, bytes(range(64))))
+    assert verify(b"pepper", d)
+
+
+def test_memoryview_pepper_gives_the_bytes_digest():
+    pepper = bytes(range(64))
+    expected = create(b"pepper", ASH1, pepper)
+    assert create(b"pepper", ASH1, memoryview(pepper)) == expected
+    assert dynamic_section(b"pepper", ASH1, memoryview(pepper)) == expected.dynamic_section
 
 
 @pytest.mark.parametrize("variant", [ASH1, ASH2], ids=["ash1", "ash2"])

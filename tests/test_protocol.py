@@ -1,6 +1,7 @@
 """Frame codec and the challenge-response / pepper-agreement machinery."""
 
 import io
+import pickle
 import random
 
 import pytest
@@ -225,8 +226,23 @@ def test_frame_checks_run_in_wire_order():
 
 
 def test_frame_constructor_validates():
-    with pytest.raises(BadFrameTypeError):
+    with pytest.raises(BadFrameTypeError, match="^unknown frame type 0x7$"):
         ProtocolFrame(0x07, b"")
+
+
+def test_frame_equals_only_a_frame_with_the_same_fields():
+    frame = ProtocolFrame(FrameType.CHALLENGE, b"pepper")
+    same = ProtocolFrame(frame_type=2, payload=b"pepper")
+    assert same == frame and not same != frame and hash(same) == hash(frame)
+    assert same.frame_type is FrameType.CHALLENGE
+    assert {frame: 1}[same] == 1 and pickle.loads(pickle.dumps(frame)) == frame
+    fields = (FrameType.CHALLENGE, b"pepper")
+    assert frame != fields and fields != frame and not frame == fields
+    assert frame != ProtocolFrame(FrameType.PEPPER_SHARE, b"pepper")
+    assert repr(frame) == "ProtocolFrame(frame_type=<FrameType.CHALLENGE: 2>, payload=b'pepper')"
+    for name in ("frame_type", "payload", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(frame, name, b"")
 
 
 def test_pepper_agreement_two_parties():
