@@ -34,7 +34,12 @@ _HEX_TEXT = b"0123456789abcdefABCDEF \t\n\r\x0b\x0c"
 
 
 class AshDigest(Record):
-    """One composite digest; construction enforces the section sizes."""
+    """One composite digest; construction enforces the section sizes.
+
+    The sections and the pepper are held as ``bytes``: any other bytes-like
+    field is copied, so a digest hashes, encodes and verifies whatever it
+    was built from, and a buffer changed later leaves it as it was.
+    """
 
     __slots__ = ()
     _fields = ("variant", "static_section", "dynamic_section", "pepper")
@@ -42,6 +47,13 @@ class AshDigest(Record):
     def __new__(
         cls, variant: AshVariant, static_section: bytes, dynamic_section: bytes, pepper: bytes
     ) -> AshDigest:
+        # only a field that is not bytes is copied, so create's cost nothing here
+        if static_section.__class__ is not bytes:
+            static_section = memoryview(static_section).tobytes()
+        if dynamic_section.__class__ is not bytes:
+            dynamic_section = memoryview(dynamic_section).tobytes()
+        if pepper.__class__ is not bytes:
+            pepper = memoryview(pepper).tobytes()
         if len(static_section) != variant.section_size:
             raise SizeMismatchError(
                 f"static section is {len(static_section)} bytes, wanted {variant.section_size}"

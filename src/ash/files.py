@@ -2,29 +2,29 @@
 
 The interleave permutation pairs half-block k with half-block k+N, so the
 second half of the padded stream is needed from the very first output
-block. Rather than buffering everything, ``_sections`` sizes the input
-once, builds the pad suffix once, and walks the first-half region (halves
-1..N) and the second-half region (halves N+1..2N) in lockstep through one
-reader. Bytes-like input (any C-contiguous buffer; anything with ``seek``
-is a stream) that fits in one chunk is joined to the suffix once, and both
-runs are sliced from that copy. A longer one is sliced through one flat
-view, so each run is copied and never the whole input. A stream is read at
-the offsets.
-Each pair of runs is zipped, peppered with a mask built once per call, and
-fed to the section hashes; a whole chunk of zeros skips the zip and the
-XOR, whose results it knows. A file read by its descriptor is refused if
-its ``fstat`` identity, size or times differ after the digest.
-An input longer than one chunk starts one worker thread that owns the
-dynamic hash. The calling thread reads and zips each chunk, hands it to
-the worker, and then runs the static SHA pass over it, with the
-interpreter lock released (hashlib drops it while it hashes); meanwhile the
-worker XORs the chunk with the pepper and runs the dynamic SHA pass. With
-no static pass (``dynamic_section``) the caller keeps the XOR, and the
-worker only hashes. A one-slot hand-off keeps peak memory a
-few chunk buffers whatever the input size. ``create``, ``verify`` and
+block. ``_sections`` sizes the input once (any C-contiguous buffer is
+bytes-like; anything with ``seek`` is a stream), builds the pad suffix
+once, and takes the first-half region (halves 1..N) and the second-half
+region (halves N+1..2N) as two runs. When the padded stream fits in one
+chunk, the calling thread does it in a straight line: both runs are sliced
+from one copy of the input joined to the suffix (a stream is read in the
+two pieces the runs cover), then zipped, peppered and hashed once. A
+longer input walks both regions in lockstep, a chunk at a time, slicing
+bytes-like input through one flat view (never copying it whole) and
+reading a stream at the offsets. Each pair of runs is zipped, peppered
+with a mask built once per call, and fed to the section hashes; a whole
+chunk of zeros skips the zip and the XOR, whose results it knows. One
+worker thread owns the dynamic hash: the calling thread zips each chunk,
+hands it over and runs the static SHA pass with the interpreter lock
+released (hashlib drops it while it hashes), while the worker XORs the
+chunk with the pepper and runs the dynamic pass. With no static pass
+(``dynamic_section``) the caller XORs and the worker only hashes. A
+one-slot hand-off keeps peak memory a few chunk buffers whatever the input
+size. A file read by its descriptor is refused if its ``fstat`` identity,
+size or times differ after the digest. ``create``, ``verify`` and
 ``dynamic_section`` in ``ash.digest`` run through it, and through them the
-challenge sessions and the CLI. This module also holds the spool that makes
-a pipe seekable; it imports nothing from ``ash.digest``.
+challenge sessions and the CLI. This module also holds the spool that
+makes a pipe seekable; it imports nothing from ``ash.digest``.
 """
 
 from __future__ import annotations
@@ -85,6 +85,15 @@ def _read_exactly(stream: BinaryIO, n: int) -> bytes:
     return b"".join(parts)
 
 
+def _read_span(stream: BinaryIO, offset: int, count: int) -> bytes:
+    """count bytes of a seekable stream from offset; AshError if it ends first."""
+    stream.seek(offset)
+    data = _read_exactly(stream, count)
+    if len(data) < count:
+        raise AshError("input shrank while it was being hashed")
+    return data
+
+
 def _sections(
     source: bytes | BinaryIO,
     variant: AshVariant,
@@ -96,7 +105,9 @@ def _sections(
     A stream is hashed from offset 0 whatever its position, and its size
     is taken once at the start; a file read by its descriptor that changes
     meanwhile raises ``AshError``. With ``static=False`` the static hash is
-    skipped and None stands in for it.
+    skipped and None stands in for it. A padded stream of one chunk or less
+    is permuted, peppered and hashed in one straight line on this thread;
+    only a longer one runs the chunk loop, with its worker thread.
     """
     if len(pepper) != variant.pepper_size:
         raise SizeMismatchError(
@@ -132,19 +143,24 @@ def _sections(
     half = variant.half_size
     pairs = (size + len(suffix)) // variant.block_size
     mid = pairs * half
-    # comparisons, here and in the loop, not min(): its two calls cost a
-    # one-chunk digest 0.3-0.5 us
-    step = pairs if pairs < _CHUNK_HALVES else _CHUNK_HALVES
-
-    if flat is not None and pairs == step:
-        # One chunk of bytes-like input: both runs are slices of one copy of
-        # the padded stream, no longer than the chunk they zip into. A longer
-        # input is copied run by run, never whole.
-        padded = b"".join((flat, suffix))
-
-        def read_at(offset: int, count: int) -> bytes:
-            return padded[offset : offset + count]
-
+    static_hash = variant.base.new() if static else None
+    dynamic_hash = variant.base.new()
+    if pairs <= _CHUNK_HALVES:
+        # Both runs are slices of one copy of the padded stream, no longer
+        # than the chunk they zip into. A stream is read as the runs cover
+        # it, in two reads, so one that shrinks between them is refused.
+        if flat is not None:
+            padded = b"".join((flat, suffix))
+        else:
+            cut = min(mid, size)
+            padded = b"".join(
+                (_read_span(source, 0, cut), _read_span(source, cut, size - cut), suffix)
+            )
+        segment = interleave_runs(padded[:mid], padded[mid:], half)
+        mask = int.from_bytes(pepper * pairs, "big")
+        dynamic_hash.update(apply_pepper(segment, pepper, mask=mask))
+        if static_hash is not None:
+            static_hash.update(segment)
     else:
 
         def read_at(offset: int, count: int) -> bytes:
@@ -156,63 +172,47 @@ def _sections(
             if flat is not None:
                 data = bytes(flat[offset:stop])  # a bytes slice is kept as it is
             else:
-                source.seek(offset)
-                data = _read_exactly(source, stop - offset)
-                if len(data) < stop - offset:
-                    raise AshError("input shrank while it was being hashed")
+                data = _read_span(source, offset, stop - offset)
             return data + suffix[: end - stop]
 
-    full = step * variant.block_size
-    mask = int.from_bytes(pepper * step, "big")
-    static_hash = variant.base.new() if static else None
-    dynamic_hash = variant.base.new()
-    # A one-chunk input is never all zeros (its second run ends in the length
-    # field; the empty message's first run holds 0x80), so only a longer one
-    # builds the zero run, which the short last chunk never equals.
-    worker = zero = tiled = None
-    if pairs > step:
+        step = _CHUNK_HALVES
+        full = step * variant.block_size
+        mask = int.from_bytes(pepper * step, "big")
         _keep_chunk_pages(full)
+        zero = bytes(step * half)  # the runs of a short last chunk never equal it
+        tiled = None
         worker = _HashWorker(dynamic_hash, pepper)
-        zero = bytes(step * half)
-    # The worker XORs only beside a static pass, which this thread runs
-    # meanwhile with the interpreter lock released (hashlib drops it); else
-    # this thread XORs and passes the peppered chunk on.
-    send = None
-    if worker is None:
-        send = dynamic_hash.update
-    elif not static:
-        send = worker.put
-    try:
-        for k in range(0, pairs, step):
-            m = pairs - k if pairs - k < step else step
-            first = read_at(k * half, m * half)
-            second = read_at(mid + k * half, m * half)
-            if first == zero and second == zero:
-                # Zipping zeros gives zeros, and XORing zeros with the
-                # pepper gives the pepper tiled: only the SHA passes remain.
-                if static_hash is not None:
-                    static_hash.update(first)
-                    static_hash.update(second)
-                if tiled is None:
-                    tiled = pepper * step
-                worker.put(tiled)
-                continue
-            segment = interleave_runs(first, second, half)
-            # the short last chunk takes the leading bytes of the tile; a
-            # zero shift would copy the whole mask
-            n = len(segment)
-            tile = mask if n == full else mask >> 8 * (full - n)
-            if send is None:
-                worker.put(segment, tile)
-            else:
-                send(apply_pepper(segment, pepper, mask=tile))
-            if static_hash is not None:
-                static_hash.update(segment)
-    finally:
-        # an error raised in the loop takes precedence over the worker's
-        failure = worker.close() if worker is not None else None
-    if failure is not None:
-        raise failure
+        try:
+            for k in range(0, pairs, step):
+                m = min(pairs - k, step)
+                first = read_at(k * half, m * half)
+                second = read_at(mid + k * half, m * half)
+                if first == zero and second == zero:
+                    # Zipping zeros gives zeros, and XORing zeros with the
+                    # pepper gives the pepper tiled: only the SHA passes remain.
+                    if static_hash is not None:
+                        static_hash.update(first)
+                        static_hash.update(second)
+                    if tiled is None:
+                        tiled = pepper * step
+                    worker.put(tiled)
+                    continue
+                segment = interleave_runs(first, second, half)
+                # the short last chunk takes the leading bytes of the tile; a
+                # zero shift would copy the whole mask
+                n = len(segment)
+                tile = mask if n == full else mask >> 8 * (full - n)
+                # beside a static pass the worker XORs, else this thread does
+                if static_hash is None:
+                    worker.put(apply_pepper(segment, pepper, mask=tile))
+                else:
+                    worker.put(segment, tile)
+                    static_hash.update(segment)
+        finally:
+            # an error raised in the loop takes precedence over the worker's
+            failure = worker.close()
+        if failure is not None:
+            raise failure
     if before is not None:
         # best effort: a rewrite within one tick of the file clock goes unseen
         after = os.fstat(fd)

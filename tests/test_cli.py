@@ -476,13 +476,14 @@ def test_redirected_standard_input_is_hashed_in_place(sample_over_a_page, monkey
 
 def test_start_up_and_an_in_place_hash_leave_tempfile_unloaded(sample_over_a_page):
     # -S: site can load tempfile itself (a certifi .pth does), which would
-    # hide an import of it by ash
+    # hide an import of it by ash. The file is more than a page and at most
+    # one chunk, so it is hashed in place and starts no worker thread.
     code = (
         "import sys, ash.cli\n"
         "ash.cli.build_parser()\n"
         "loaded = ['tempfile' in sys.modules]\n"
         "assert ash.cli.main(['hash', sys.argv[1]]) == 0\n"
-        "loaded.append('tempfile' in sys.modules)\n"
+        "loaded += [name in sys.modules for name in ('tempfile', 'threading', 'queue')]\n"
         "print(loaded, file=sys.stderr)\n"
     )
     result = subprocess.run(
@@ -490,7 +491,7 @@ def test_start_up_and_an_in_place_hash_leave_tempfile_unloaded(sample_over_a_pag
         capture_output=True, env=_cli_env(), timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stderr.decode().strip() == "[False, False]"
+    assert result.stderr.decode().strip() == "[False, False, False, False]"
 
 
 def test_standard_input_part_way_into_its_file_is_hashed_from_there(sample):

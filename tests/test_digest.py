@@ -399,6 +399,23 @@ def test_memoryview_pepper_gives_the_bytes_digest():
     assert dynamic_section(b"pepper", ASH1, memoryview(pepper)) == expected.dynamic_section
 
 
+@pytest.mark.parametrize("kind", [bytearray, memoryview], ids=["bytearray", "memoryview"])
+@pytest.mark.parametrize("use", ["hash", "verify", "encode"])
+def test_a_digest_built_from_bytes_like_fields_holds_bytes(kind, use):
+    d = create(b"fields", ASH1, bytes(range(64)))
+    buffers = [bytearray(field) for field in d[1:]]
+    built = AshDigest(ASH1, *(kind(b) for b in buffers))
+    if use == "hash":
+        assert hash(built) == hash(d)
+    elif use == "verify":
+        assert verify(b"fields", built)
+    else:
+        assert encode(built, "binary") == encode(d, "binary")
+    for b in buffers:
+        b[0] ^= 1  # the digest keeps what it was built from
+    assert built == d and all(type(field) is bytes for field in built[1:])
+
+
 @pytest.mark.parametrize("variant", [ASH1, ASH2], ids=["ash1", "ash2"])
 def test_encoding_round_trips(variant):
     d = create(b"round trip", variant)

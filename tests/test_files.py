@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import ash.files
 from ash import cli
-from ash.digest import create, dynamic_section, encode, verify
+from ash.digest import AshDigest, create, dynamic_section, encode, verify
 from ash.errors import AshError
 from ash.files import _CHUNK_HALVES, DEFAULT_MEMORY_BUDGET, spool_to_seekable
 from ash.toyhash import toy_hash, toy_variant
@@ -204,11 +204,14 @@ def _check_against_oracle(variant, message, pepper, tmp_path=None):
     expected = oracle_digest(
         message, pepper, ORACLE_HASH[variant], variant.block_size, variant.length_field_size
     )
-    for source in (message, bytearray(message), memoryview(message)):
-        assert encode(create(source, variant, pepper), "binary") == expected
-    assert encode(create(io.BytesIO(message), variant, pepper), "binary") == expected
     s = variant.section_size
-    assert dynamic_section(io.BytesIO(message), variant, pepper) == expected[s : 2 * s]
+    claimed = AshDigest(variant, expected[:s], expected[s : 2 * s], pepper)
+    # one chunk or less is hashed in a straight line and longer input by the
+    # chunk loop, so every entry point runs on every kind of source
+    for source in (message, bytearray(message), memoryview(message), io.BytesIO(message)):
+        assert encode(create(source, variant, pepper), "binary") == expected
+        assert verify(source, claimed)
+        assert dynamic_section(source, variant, pepper) == expected[s : 2 * s]
     if tmp_path is not None:
         path = tmp_path / "message.bin"
         path.write_bytes(message)
@@ -452,6 +455,40 @@ def _record_calls(monkeypatch, *names):
     for name in names:
         monkeypatch.setattr(ash.files, name, recorded(name))
     return calls
+
+
+@pytest.mark.parametrize("variant", [ASH1, ASH2], ids=["ash1", "ash2"])
+@pytest.mark.parametrize("source", ["bytes", "memoryview", "stream"])
+def test_only_an_input_longer_than_one_chunk_starts_a_worker(monkeypatch, variant, source):
+    # A padded stream of _CHUNK_HALVES pairs is hashed in a straight line on
+    # the calling thread; one pair more takes the chunk loop and its worker.
+    started, kept = [], []
+    real_worker, real_keep = ash.files._HashWorker, ash.files._keep_chunk_pages
+
+    def worker(*args):
+        started.append(threading.get_ident())
+        return real_worker(*args)
+
+    def keep(chunk_bytes):
+        kept.append(chunk_bytes)
+        real_keep(chunk_bytes)
+
+    monkeypatch.setattr(ash.files, "_HashWorker", worker)
+    monkeypatch.setattr(ash.files, "_keep_chunk_pages", keep)
+    pepper = random.Random(93).randbytes(variant.pepper_size)
+    for pairs, workers in ((_CHUNK_HALVES, 0), (_CHUNK_HALVES + 1, 1)):
+        # the longest message that pads to `pairs` blocks
+        length = pairs * variant.block_size - variant.length_field_size - 1
+        message = random.Random(pairs).randbytes(length)
+        expected = create(message, variant, pepper)
+        for fn in (create, dynamic_section):
+            started.clear()
+            kept.clear()
+            kinds = {"bytes": bytes, "memoryview": memoryview, "stream": io.BytesIO}
+            result = fn(kinds[source](message), variant, pepper)
+            assert result == (expected if fn is create else expected.dynamic_section)
+            assert started == [threading.get_ident()] * workers
+            assert kept == [_CHUNK_HALVES * variant.block_size] * workers
 
 
 @pytest.mark.parametrize("entry", ["create", "verify", "dynamic_section"])
