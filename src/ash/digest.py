@@ -210,5 +210,8 @@ def _decode_text(text: str) -> AshDigest:
     try:
         raw = bytes.fromhex(hexpart)
     except ValueError:
-        raise DigestFormatError("bad hex: digest contains non-hexadecimal characters") from None
+        raw = b""
+    # fromhex skips whitespace, so hex with spaces inside comes out short
+    if len(raw) < variant.total_size:
+        raise DigestFormatError("bad hex: digest contains non-hexadecimal characters")
     return _from_binary(raw, variant)

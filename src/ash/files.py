@@ -7,24 +7,24 @@ bytes-like; anything with ``seek`` is a stream), builds the pad suffix
 once, and takes the first-half region (halves 1..N) and the second-half
 region (halves N+1..2N) as two runs. When the padded stream fits in one
 chunk, the calling thread does it in a straight line: both runs are sliced
-from one copy of the input joined to the suffix (a stream is read in the
-two pieces the runs cover), then zipped, peppered and hashed once. A
-longer input walks both regions in lockstep, a chunk at a time, slicing
-bytes-like input through one flat view (never copying it whole) and
-reading a stream at the offsets. Each pair of runs is zipped, peppered
-with a mask built once per call, and fed to the section hashes; a whole
-chunk of zeros skips the zip and the XOR, whose results it knows. One
-worker thread owns the dynamic hash: the calling thread zips each chunk,
-hands it over and runs the static SHA pass with the interpreter lock
-released (hashlib drops it while it hashes), while the worker XORs the
-chunk with the pepper and runs the dynamic pass. With no static pass
-(``dynamic_section``) the caller XORs and the worker only hashes. A
-one-slot hand-off keeps peak memory a few chunk buffers whatever the input
-size. A file read by its descriptor is refused if its ``fstat`` identity,
-size or times differ after the digest. ``create``, ``verify`` and
-``dynamic_section`` in ``ash.digest`` run through it, and through them the
-challenge sessions and the CLI. This module also holds the spool that
-makes a pipe seekable; it imports nothing from ``ash.digest``.
+from one copy of the input joined to the suffix (a stream is read once,
+whole), then zipped, peppered and hashed once. A longer input walks both
+regions in lockstep, a chunk at a time, slicing bytes-like input through
+one flat view (never copying it whole) and reading a stream at the
+offsets. Each pair of runs is zipped, peppered with a mask built once per
+call, and fed to the section hashes; a whole chunk of zeros skips the zip
+and the XOR, whose results it knows. One worker thread owns the dynamic
+hash: the calling thread zips each chunk, hands it over and runs the
+static SHA pass with the interpreter lock released (hashlib drops it while
+it hashes), while the worker XORs the chunk with the pepper and runs the
+dynamic pass. With no static pass (``dynamic_section``) the caller XORs
+and the worker only hashes. A one-slot hand-off keeps peak memory a few
+chunk buffers whatever the input size. A file read by its descriptor is
+refused if its ``fstat`` identity, size or times differ after the digest.
+``create``, ``verify`` and ``dynamic_section`` in ``ash.digest`` run
+through it, and through them the challenge sessions and the CLI. This
+module also holds the spool that makes a pipe seekable; it imports nothing
+from ``ash.digest``.
 """
 
 from __future__ import annotations
@@ -147,15 +147,11 @@ def _sections(
     dynamic_hash = variant.base.new()
     if pairs <= _CHUNK_HALVES:
         # Both runs are slices of one copy of the padded stream, no longer
-        # than the chunk they zip into. A stream is read as the runs cover
-        # it, in two reads, so one that shrinks between them is refused.
-        if flat is not None:
-            padded = b"".join((flat, suffix))
-        else:
-            cut = min(mid, size)
-            padded = b"".join(
-                (_read_span(source, 0, cut), _read_span(source, cut, size - cut), suffix)
-            )
+        # than the chunk they zip into. A stream is read in one read, so the
+        # digest is of one snapshot of it.
+        if flat is None:
+            flat = _read_span(source, 0, size)
+        padded = b"".join((flat, suffix))
         segment = interleave_runs(padded[:mid], padded[mid:], half)
         mask = int.from_bytes(pepper * pairs, "big")
         dynamic_hash.update(apply_pepper(segment, pepper, mask=mask))

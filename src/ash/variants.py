@@ -9,7 +9,6 @@ the benchmark (ROADMAP items 1 and 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import AshError
 from .hashes import BlockHashFunction, sha256, sha512
@@ -19,14 +18,14 @@ from .hashes import BlockHashFunction, sha256, sha512
 class AshVariant:
     """Sizes and base hash for one ASH variant. All sizes are in bytes.
 
-    Derived quantities are fixed by the base hash: the pepper is one input
+    The derived sizes are fixed by the base hash: the pepper is one input
     block, each digest section is one output digest, half-blocks are half
     an input block, and the serialized digest is static + dynamic + pepper.
     ``length_field_size`` is the width of the big-endian bit-length field
-    written by the padding layer. Each derived size is computed on first
-    use and kept on the instance, out of equality, hashing and repr, so a
-    digest looks it up as a plain attribute; ``dataclasses.replace`` builds
-    a new instance, which derives its sizes from its own base.
+    written by the padding layer. The five derived sizes are set when the
+    variant is built, as read-only attributes outside equality, hashing
+    and repr; ``dataclasses.replace`` builds a new variant, which sets
+    them from its own base.
     """
 
     name: str
@@ -39,26 +38,14 @@ class AshVariant:
             raise AshError(f"{self.name}: base block size must be even")
         if self.length_field_size < 1:
             raise AshError(f"{self.name}: length field must be at least one byte")
-
-    @cached_property
-    def block_size(self) -> int:
-        return self.base.block_size
-
-    @cached_property
-    def half_size(self) -> int:
-        return self.base.block_size // 2
-
-    @cached_property
-    def section_size(self) -> int:
-        return self.base.digest_size
-
-    @cached_property
-    def pepper_size(self) -> int:
-        return self.base.block_size
-
-    @cached_property
-    def total_size(self) -> int:
-        return 2 * self.section_size + self.pepper_size
+        # Set past the frozen guard, as plain attributes rather than fields,
+        # so equality, hashing and repr leave them out.
+        block, digest = self.base.block_size, self.base.digest_size
+        object.__setattr__(self, "block_size", block)
+        object.__setattr__(self, "half_size", block // 2)
+        object.__setattr__(self, "section_size", digest)
+        object.__setattr__(self, "pepper_size", block)
+        object.__setattr__(self, "total_size", 2 * digest + block)
 
 
 ASH1 = AshVariant(name="ASH-1", tag="ash1", base=sha256(), length_field_size=8)

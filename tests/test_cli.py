@@ -182,8 +182,13 @@ def test_verify_detects_changed_byte(sample):
 
 def test_verify_malformed_digest_is_usage_error(sample):
     digest = run_cli("hash", str(sample), check=True).stdout.decode().strip()
-    assert run_cli("verify", digest[:-2], str(sample)).returncode == 2
-    assert run_cli("verify", "ash9:" + digest[5:], str(sample)).returncode == 2
+    hexpart = digest[5:]
+    # the last: 256 characters, two of them spaces between hex pairs
+    spaced = "ash1:" + hexpart[:100] + " " + hexpart[100:200] + " " + hexpart[200:254]
+    for malformed in (digest[:-2], "ash9:" + hexpart, spaced):
+        result = run_cli("verify", malformed, str(sample))
+        assert result.returncode == 2
+        assert result.stderr.startswith(b"ash: malformed digest: ")
 
 
 def test_verify_digest_from_file(sample, tmp_path):

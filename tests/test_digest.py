@@ -465,6 +465,11 @@ def test_decode_binary_digest_made_of_hex_digits_stays_binary():
     raw = bytes(random.Random(41).choice(b"0123456789abcdef") for _ in range(128))
     d = decode(raw)
     assert d.variant == ASH1 and encode(d, "binary") == raw
+    # 254 hex digits with two spaces between pairs are no ASH-1 hex either
+    digits = bytes(random.Random(42).choice(b"0123456789abcdef") for _ in range(254))
+    raw = digits[:100] + b" " + digits[100:200] + b" " + digits[200:]
+    d = decode(raw)
+    assert d.variant == ASH2 and encode(d, "binary") == raw
 
 
 def test_decode_accepts_surrounding_whitespace():
@@ -483,6 +488,13 @@ def test_decode_errors_name_the_problem():
         decode("ash1:" + "zz" * 128)
     with pytest.raises(DigestFormatError, match="length"):
         decode("ash1:" + "00" * 100)
+    with pytest.raises(DigestFormatError, match="bad length: 100 bytes is not a binary"):
+        decode(b"\xff" * 100)
+    # 256 characters, but two are spaces between pairs: 127 bytes of hex
+    spaced = "ab" * 60 + " " + "ab" * 60 + " " + "ab" * 7
+    for text in (spaced, "ash1:" + spaced):
+        with pytest.raises(DigestFormatError, match="bad hex"):
+            decode(text)
 
 
 @pytest.mark.parametrize("count", [128, 256])

@@ -257,11 +257,20 @@ def test_core_matches_oracle_on_the_toy_variant(message, pepper):
 
 
 class _Shrinking(io.BytesIO):
-    """A stream that loses its tail after some reads, as a truncated file does."""
+    """A stream that loses its tail after some reads, as a truncated file does.
 
-    def __init__(self, data: bytes, reads: int = 1):
+    With ``reads=0`` it loses it as soon as its size is taken.
+    """
+
+    def __init__(self, data: bytes, reads: int):
         super().__init__(data)
         self._reads = reads
+
+    def seek(self, offset, whence=io.SEEK_SET):
+        position = super().seek(offset, whence)
+        if whence == io.SEEK_END and self._reads <= 0:
+            self.truncate(1)
+        return position
 
     def read(self, n=-1):
         out = super().read(n)
@@ -273,15 +282,47 @@ class _Shrinking(io.BytesIO):
 
 @pytest.mark.parametrize("size", [200, 3 * 512 * 1024])
 def test_input_that_shrinks_mid_read_raises(size):
-    # one chunk shrinks at its first read; a multi-chunk input at its fifth,
-    # in the third chunk, while the worker thread hashes the earlier ones
-    reads = 1 if size < CHUNK_BYTES else 5
-    assert reads == 1 or size > 3 * CHUNK_BYTES
+    # one chunk is read once, so it shrinks between its sizing and that
+    # read; a multi-chunk input at its fifth read, in the third chunk,
+    # while the worker thread hashes the earlier ones
+    reads = 0 if size < CHUNK_BYTES else 5
+    assert reads == 0 or size > 3 * CHUNK_BYTES
     threads = threading.active_count()
     stream = _Shrinking(random.Random(77).randbytes(size), reads)
     with pytest.raises(AshError, match="shrank"):
         create(stream, ASH1, bytes(64))
     assert threading.active_count() == threads
+
+
+class _CountedReads(io.BytesIO):
+    """An in-memory stream that counts the calls to its ``read``."""
+
+    reads = 0
+
+    def read(self, n=-1):
+        self.reads += 1
+        return super().read(n)
+
+
+@pytest.mark.parametrize("variant", [ASH1, ASH2], ids=["ash1", "ash2"])
+@pytest.mark.parametrize("entry", ["create", "verify", "dynamic_section"])
+def test_a_one_chunk_stream_is_read_once(variant, entry):
+    # One read is one snapshot: a stream rewritten at the same size between
+    # two reads would get the digest of content it never held.
+    pepper = random.Random(94).randbytes(variant.pepper_size)
+    for pairs in (1, 2, 3, _CHUNK_HALVES):
+        # the longest message that pads to `pairs` blocks
+        length = pairs * variant.block_size - variant.length_field_size - 1
+        message = random.Random(pairs).randbytes(length)
+        expected = create(message, variant, pepper)
+        stream = _CountedReads(message)
+        if entry == "create":
+            assert create(stream, variant, pepper) == expected
+        elif entry == "verify":
+            assert verify(stream, expected)
+        else:
+            assert dynamic_section(stream, variant, pepper) == expected.dynamic_section
+        assert stream.reads == 1, pairs
 
 
 class _FailingHash:
