@@ -3,11 +3,11 @@
 Standard output carries only digests and protocol frames; anything meant
 for a human goes to standard error, so the tool can sit in a pipeline.
 Exit codes: 0 success/match/accept, 1 mismatch/reject, 2 usage, format,
-I/O, or protocol errors. Run as a program, ``ash`` leaves SIGINT (Ctrl-C)
-to its default action: it ends the process at once, wherever it waits,
-and prints nothing, so a shell sees the process killed by SIGINT and
-stops a loop that ran it. A SIGINT that ``ash`` inherits as ignored, as a
-background job does, stays ignored.
+I/O or protocol errors, or no memory or thread left. Run as a program,
+``ash`` leaves SIGINT (Ctrl-C) to its default action: it ends the process
+at once, wherever it waits, and prints nothing, so a shell sees the
+process killed by SIGINT and stops a loop that ran it. A SIGINT that
+``ash`` inherits as ignored, as a background job does, stays ignored.
 """
 
 from __future__ import annotations
@@ -286,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (AshError, OSError) as exc:
         print(f"ash: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # exit 1 would read as a mismatch
+        print("ash: out of memory", file=sys.stderr)
         return 2
 
 

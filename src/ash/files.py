@@ -38,7 +38,9 @@ from .restructure import interleave_runs, pad_suffix
 from .seasoning import apply_pepper
 from .variants import AshVariant
 
-DEFAULT_MEMORY_BUDGET = 256 * 1024 * 1024
+# A few chunks: a larger pipe spills to a temporary file, so a pipe's peak
+# memory does not grow with its size, and the spill costs no measurable time.
+DEFAULT_MEMORY_BUDGET = 1024 * 1024
 
 # Half-block pairs per chunk: 128 KiB (ASH-1) or 256 KiB (ASH-2) chunks, so
 # the few chunk buffers in flight fit in one core's L2 cache.
@@ -241,7 +243,10 @@ class _HashWorker:
         self._handoff: queue.Queue = queue.Queue(1)
         self._failure: BaseException | None = None
         self._thread = threading.Thread(target=self._drain, name="ash-hash", daemon=True)
-        self._thread.start()
+        try:
+            self._thread.start()
+        except RuntimeError as exc:  # out of threads or memory: exit 2, not a mismatch
+            raise AshError(f"cannot start a hashing thread: {exc}") from None
 
     def _drain(self) -> None:
         # Keeps taking chunks after a failure, so ``put`` never blocks on a

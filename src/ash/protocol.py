@@ -24,6 +24,7 @@ data.
 from __future__ import annotations
 
 import hmac
+import struct
 from enum import Enum, IntEnum
 from operator import itemgetter
 from typing import BinaryIO
@@ -44,7 +45,8 @@ from .variants import ASH2, AshVariant
 
 MAGIC = b"ASHP"
 VERSION = 0x01
-HEADER_SIZE = 10
+_HEADER = struct.Struct(">4sBBI")  # magic, version, type, payload length
+HEADER_SIZE = _HEADER.size
 
 
 class FrameType(IntEnum):
@@ -99,24 +101,20 @@ def _check_length(frame_type: FrameType, length: int) -> None:
 
 
 def encode_frame(frame: ProtocolFrame) -> bytes:
-    """The wire bytes of a frame; a payload either parser would refuse is refused here."""
-    _check_length(frame.frame_type, len(frame.payload))
-    return (
-        MAGIC
-        + bytes((VERSION, frame.frame_type))
-        + len(frame.payload).to_bytes(4, "big")
-        + frame.payload
-    )
+    """The wire bytes of a frame; a payload the parser would refuse is refused here."""
+    payload = frame.payload
+    _check_length(frame.frame_type, len(payload))
+    return _HEADER.pack(MAGIC, VERSION, frame.frame_type, len(payload)) + payload
 
 
-def _check_header(header: bytes) -> tuple[FrameType, int]:
+def _check_header(data: bytes) -> tuple[FrameType, int]:
     """Check magic, version, type, then the length cap; return the type and length."""
-    if header[:4] != MAGIC:
-        raise BadMagicError(f"bad magic {header[:4]!r}")
-    if header[4] != VERSION:
-        raise BadVersionError(f"unsupported version {header[4]:#x}")
-    frame_type = _frame_type(header[5])
-    length = int.from_bytes(header[6:HEADER_SIZE], "big")
+    magic, version, type_byte, length = _HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise BadMagicError(f"bad magic {magic!r}")
+    if version != VERSION:
+        raise BadVersionError(f"unsupported version {version:#x}")
+    frame_type = _frame_type(type_byte)
     _check_length(frame_type, length)
     return frame_type, length
 
@@ -137,19 +135,15 @@ def decode_frame(data: bytes) -> tuple[ProtocolFrame, bytes]:
 def read_frame(stream: BinaryIO) -> ProtocolFrame | None:
     """Read one frame from a blocking stream; None on clean end-of-stream.
 
-    A payload longer than its frame type can carry is refused from the header.
+    The header is checked before its length is trusted for the payload read;
+    ``decode_frame`` then parses what was read, a short read included.
     """
-    header = _read_exactly(stream, HEADER_SIZE)
-    if not header:
+    raw = _read_exactly(stream, HEADER_SIZE)
+    if not raw:
         return None
-    if len(header) < HEADER_SIZE:
-        raise TruncatedFrameError("stream ended inside a frame header")
-    # validate the header before trusting its length field
-    frame_type, length = _check_header(header)
-    payload = _read_exactly(stream, length)
-    if len(payload) < length:
-        raise TruncatedFrameError("stream ended inside a frame payload")
-    return ProtocolFrame(frame_type, payload)
+    if len(raw) == HEADER_SIZE:
+        raw += _read_exactly(stream, _check_header(raw)[1])
+    return decode_frame(raw)[0]
 
 
 def _expect(frame: ProtocolFrame, frame_type: FrameType, size: int | None = None) -> None:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from ash import cli, files
 from ash.digest import create, encode
 from ash.files import _CHUNK_HALVES
+from ash.protocol import FrameType, ProtocolFrame, encode_frame
 from ash.variants import ASH1, get_variant
 from oracle import oracle_ash1, oracle_ash2
 
@@ -115,6 +116,39 @@ def test_hash_stdin_with_tiny_memory_budget(sample):
     ).stdout
     direct = run_cli("hash", "--pepper", pepper, str(sample), check=True).stdout
     assert spooled == direct
+
+
+def _piped_hash_peak_kib(mib):
+    """The peak memory (VmHWM, KiB) of an ``ash hash -`` child fed mib MiB by a pipe.
+
+    Read by the child from /proc/self/status: ru_maxrss of a child started
+    with vfork counts the parent's peak too.
+    """
+    code = (
+        "import sys, ash.cli\n"
+        "code = ash.cli.main(['hash', '-'])\n"
+        "with open('/proc/self/status') as status:\n"
+        "    peak = [line.split()[1] for line in status if line.startswith('VmHWM:')]\n"
+        "print(peak[0], file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-S", "-c", code], stdin=subprocess.PIPE,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=_cli_env(),
+    )
+    block = bytes(range(256)) * 4096
+    for _ in range(mib):
+        proc.stdin.write(block)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    return int(err.split()[-1])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc")
+def test_a_large_pipe_peaks_no_higher_than_a_small_one_at_the_default_budget():
+    # the default budget spills a large pipe to disk: memory stays flat
+    small, large = _piped_hash_peak_kib(1), _piped_hash_peak_kib(64)
+    assert large <= small + 512, (small, large)  # two ASH-2 chunks
 
 
 @pytest.mark.parametrize("command", ["hash", "verify"])
@@ -747,6 +781,49 @@ def test_closed_stdin_exits_2_with_one_line(sample, command):
     assert result.returncode == 2, result.stderr
     assert result.stdout == b""
     assert result.stderr.decode().splitlines() == ["ash: standard input is closed"]
+
+
+EXHAUSTION_COMMANDS = {
+    "hash": ["hash", "{file}"],
+    "verify": ["verify", "{digest}", "{file}"],
+    "challenge": ["challenge", "--role", "responder", "{file}"],
+}
+
+
+def _fail_with(error):
+    def fail(*args, **kwargs):
+        raise error
+
+    return fail
+
+
+@pytest.mark.parametrize("exhausted", ["memory", "threads"])
+@pytest.mark.parametrize("command", sorted(EXHAUSTION_COMMANDS))
+def test_running_out_of_memory_or_threads_exits_2_with_one_line(
+    tmp_path, monkeypatch, command, exhausted
+):
+    # in process: exit 1 would read as a mismatch, and a traceback as a crash
+    path = tmp_path / "big.bin"
+    data = bytes(range(256)) * 1200  # 300 kB: more than one chunk, so a worker starts
+    path.write_bytes(data)
+    claimed = encode(create(data, ASH1))
+    challenge = encode_frame(ProtocolFrame(FrameType.CHALLENGE, bytes(ASH1.pepper_size)))
+    if exhausted == "memory":
+        monkeypatch.setattr("ash.digest._sections", _fail_with(MemoryError()))
+        expected = "ash: out of memory"
+    else:
+        monkeypatch.setattr(
+            threading.Thread, "start", _fail_with(RuntimeError("can't start new thread"))
+        )
+        expected = "ash: cannot start a hashing thread: can't start new thread"
+    stdout = io.TextIOWrapper(io.BytesIO())
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(challenge)))
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "stderr", io.StringIO())
+    argv = [a.format(file=path, digest=claimed) for a in EXHAUSTION_COMMANDS[command]]
+    assert cli.main(argv) == 2
+    assert sys.stderr.getvalue().splitlines() == [expected]
+    assert stdout.buffer.getvalue() == b""
 
 
 @pytest.fixture(scope="module")

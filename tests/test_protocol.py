@@ -57,6 +57,10 @@ def test_empty_payload_frame_is_ten_bytes():
     raw = encode_frame(ProtocolFrame(FrameType.VERDICT, b""))
     assert len(raw) == HEADER_SIZE == 10
     assert raw[:4] == b"ASHP" and raw[4] == 0x01 and raw[5] == 0x04
+    # one known answer: the length field is big-endian, the payload follows
+    assert encode_frame(ProtocolFrame(FrameType.VERDICT, b"\x01")) == (
+        b"ASHP\x01\x04\x00\x00\x00\x01\x01"
+    )
 
 
 def test_codec_round_trip_with_remainder():
@@ -152,6 +156,21 @@ def test_both_parsers_share_one_payload_bound(frame_type, parser):
     assert str(caught.value) == (
         f"{frame_type.name} frame declares {limit + 1} payload bytes, at most {limit} allowed"
     )
+
+
+@pytest.mark.parametrize("frame_type", PAYLOAD_LIMITS, ids=lambda t: t.name.lower())
+def test_both_parsers_refuse_every_truncated_prefix_alike(frame_type):
+    # every proper prefix of a frame: the same error type and message from
+    # both parsers, except the empty one, a clean end of stream for read_frame
+    raw = encode_frame(ProtocolFrame(frame_type, bytes(range(PAYLOAD_LIMITS[frame_type]))))
+    assert read_frame(io.BytesIO(b"")) is None
+    for end in range(1, len(raw)):
+        with pytest.raises(TruncatedFrameError) as decoded:
+            decode_frame(raw[:end])
+        with pytest.raises(TruncatedFrameError) as read:
+            read_frame(io.BytesIO(raw[:end]))
+        assert type(read.value) is type(decoded.value)
+        assert str(read.value) == str(decoded.value), end
 
 
 @pytest.mark.parametrize("frame_type", PAYLOAD_LIMITS, ids=lambda t: t.name.lower())
