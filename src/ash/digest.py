@@ -20,7 +20,6 @@ stays flat whatever the message size.
 from __future__ import annotations
 
 import hmac
-from operator import itemgetter
 from typing import BinaryIO
 
 from .errors import DigestFormatError, SizeMismatchError
@@ -66,11 +65,6 @@ class AshDigest(Record):
             raise SizeMismatchError(f"pepper is {len(pepper)} bytes, wanted {variant.pepper_size}")
         return tuple.__new__(cls, (variant, static_section, dynamic_section, pepper))
 
-    variant = property(itemgetter(0))
-    static_section = property(itemgetter(1))
-    dynamic_section = property(itemgetter(2))
-    pepper = property(itemgetter(3))
-
 
 def create(
     message: bytes | BinaryIO, variant: AshVariant = ASH1, pepper: bytes | None = None
@@ -88,10 +82,7 @@ def create(
     """
     if pepper is None:
         pepper = generate_pepper(variant)
-    elif pepper.__class__ is not bytes:
-        pepper = memoryview(pepper).tobytes()
-    static, dynamic = _sections(message, variant, pepper)
-    return AshDigest(variant, static, dynamic, pepper)
+    return AshDigest(variant, *_sections(message, variant, pepper))
 
 
 def dynamic_section(message: bytes | BinaryIO, variant: AshVariant, pepper: bytes) -> bytes:
@@ -100,8 +91,6 @@ def dynamic_section(message: bytes | BinaryIO, variant: AshVariant, pepper: byte
     ``message`` is bytes-like or a seekable binary stream, hashed from offset 0,
     and ``pepper`` is bytes-like.
     """
-    if pepper.__class__ is not bytes:
-        pepper = memoryview(pepper).tobytes()
     return _sections(message, variant, pepper, static=False)[1]
 
 
@@ -123,7 +112,8 @@ def verify(message: bytes | BinaryIO, claimed: AshDigest) -> bool:
     ``message`` is read as ``create`` reads it, stream size snapshot included.
     The recomputed sections are compared as they come, with no digest built.
     """
-    return _match(*_sections(message, claimed.variant, claimed.pepper), claimed)
+    static, dynamic, _ = _sections(message, claimed.variant, claimed.pepper)
+    return _match(static, dynamic, claimed)
 
 
 def create_pair(message: bytes, variant: AshVariant = ASH1) -> tuple[AshDigest, AshDigest]:

@@ -101,20 +101,22 @@ def _sections(
     variant: AshVariant,
     pepper: bytes,
     static: bool = True,
-) -> tuple[bytes | None, bytes]:
+) -> tuple[bytes | None, bytes, bytes]:
     """The static and dynamic sections of bytes-like input or a seekable binary stream.
 
-    A stream is hashed from offset 0 whatever its position, and its size
-    is taken once at the start; a file read by its descriptor that changes
-    meanwhile raises ``AshError``. With ``static=False`` the static hash is
-    skipped and None stands in for it. A padded stream of one chunk or less
-    is permuted, peppered and hashed in one straight line on this thread;
-    only a longer one runs the chunk loop, with its worker thread.
+    ``pepper`` is bytes-like; one that is not ``bytes`` is copied before
+    its size is checked, and the pepper hashed is the third value. A
+    stream is hashed from offset 0 whatever its position, and its size is
+    taken once at the start; a file read by its descriptor that changes
+    meanwhile raises ``AshError``. With ``static=False`` the static hash
+    is skipped and None stands in for it. A padded stream of one chunk or
+    less is permuted, peppered and hashed in one straight line on this
+    thread; only a longer one runs the chunk loop, with its worker thread.
     """
+    if pepper.__class__ is not bytes:
+        pepper = memoryview(pepper).tobytes()
     if len(pepper) != variant.pepper_size:
-        raise SizeMismatchError(
-            f"pepper is {len(pepper)} bytes, wanted {variant.pepper_size}"
-        )
+        raise SizeMismatchError(f"pepper is {len(pepper)} bytes, wanted {variant.pepper_size}")
     flat = before = None
     if source.__class__ is bytes:
         flat = source  # sliced as it is: a view over it costs more than it saves
@@ -155,8 +157,7 @@ def _sections(
             flat = _read_span(source, 0, size)
         padded = b"".join((flat, suffix))
         segment = interleave_runs(padded[:mid], padded[mid:], half)
-        mask = int.from_bytes(pepper * pairs, "big")
-        dynamic_hash.update(apply_pepper(segment, pepper, mask=mask))
+        dynamic_hash.update(apply_pepper(segment, pepper))
         if static_hash is not None:
             static_hash.update(segment)
     else:
@@ -217,7 +218,7 @@ def _sections(
         fields = ("st_dev", "st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
         if any(getattr(before, name) != getattr(after, name) for name in fields):
             raise AshError("input changed while it was being hashed")
-    return (static_hash.digest() if static else None), dynamic_hash.digest()
+    return (static_hash.digest() if static else None), dynamic_hash.digest(), pepper
 
 
 class _HashWorker:

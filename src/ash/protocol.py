@@ -26,7 +26,6 @@ from __future__ import annotations
 import hmac
 import struct
 from enum import Enum, IntEnum
-from operator import itemgetter
 from typing import BinaryIO
 
 from .digest import dynamic_section
@@ -71,16 +70,19 @@ _MAX_PAYLOAD = {
 
 
 class ProtocolFrame(Record):
-    """One frame; a bare int type becomes its member. ``encode_frame`` caps the payload."""
+    """One frame; a bare int type becomes its member. ``encode_frame`` caps the payload.
+
+    A bytes-like payload that is not ``bytes`` is copied, as ``AshDigest`` does.
+    """
 
     __slots__ = ()
     _fields = ("frame_type", "payload")
 
     def __new__(cls, frame_type: int, payload: bytes) -> ProtocolFrame:
-        return tuple.__new__(cls, (_frame_type(frame_type), payload))
-
-    frame_type = property(itemgetter(0))
-    payload = property(itemgetter(1))
+        frame_type = _frame_type(frame_type)
+        if payload.__class__ is not bytes:
+            payload = memoryview(payload).tobytes()
+        return tuple.__new__(cls, (frame_type, payload))
 
 
 def _frame_type(value: int) -> FrameType:

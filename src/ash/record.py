@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any
 
 
@@ -9,16 +10,21 @@ class Record(tuple):
     """A tuple of named fields that equals only a record of its own class.
 
     A subclass names its fields in ``_fields``, checks its arguments in
-    ``__new__``, builds itself with ``tuple.__new__(cls, values)`` and
-    reads each field through a property, so assigning to a field raises
-    ``AttributeError``. Hashing is the tuple's, so it agrees with ``==``;
-    ``repr`` reads ``Name(field=value, ...)``. Tuple behaviour that does
-    not touch equality comes along: ``len``, indexing, unpacking, and
-    ordering between records of one class.
+    ``__new__`` and builds itself with ``tuple.__new__(cls, values)``.
+    ``Record`` builds the accessors from ``_fields``, one read-only
+    property per name, so they and ``repr`` cannot disagree, and assigning
+    to a field raises ``AttributeError``. Hashing is the tuple's, so it
+    agrees with ``==``; ``repr`` reads ``Name(field=value, ...)``. Tuple
+    behaviour that does not touch equality comes along: ``len``, indexing,
+    unpacking, and ordering between records of one class.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        for index, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(index)))
 
     def __eq__(self, other: Any) -> Any:
         if other.__class__ is self.__class__:

@@ -5,6 +5,7 @@ import errno
 import gc
 import hashlib
 import io
+import json
 import os
 import pathlib
 import platform
@@ -31,7 +32,8 @@ from ash.variants import ASH1, ASH2
 from oracle import oracle_digest, oracle_pad
 
 TOY = toy_variant()
-SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 class _ToyOracleHash:
@@ -841,3 +843,26 @@ def test_chunk_buffers_are_not_faulted_in_afresh_for_each_chunk(variant, entry):
     )
     faults = int(result.stdout)
     assert faults < (4 << 20) // (_CHUNK_HALVES * variant.block_size), faults
+
+
+def test_the_benchmark_tracer_sees_every_digest_seam():
+    # perfbench/spans.py times pad_suffix, interleave_runs and apply_pepper
+    # by wrapping them as ash.files globals, so a rename, or a call that
+    # goes round one, silently zeroes its span. The traced smoke run pads,
+    # permutes and peppers once per create, verify and dynamic_section.
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "small_mem",
+         "--seed", "1", "--seconds", "0", "--trace", "1", "--smoke"],
+        capture_output=True, text=True, cwd=ROOT, timeout=300, check=True,
+    )
+    metrics = json.loads(result.stdout.splitlines()[-1])["metrics"]
+    calls = {
+        name: metrics[f"{name}.calls"]["value"]
+        for name in ("restructure.pad", "restructure.permute", "seasoning.pepper_xor",
+                     "digest.create", "digest.verify", "digest.dynamic_section")
+    }
+    seams = calls["restructure.pad"]
+    assert seams > 0, calls
+    assert calls["restructure.permute"] == calls["seasoning.pepper_xor"] == seams, calls
+    entries = calls["digest.create"] + calls["digest.verify"] + calls["digest.dynamic_section"]
+    assert entries == seams, calls

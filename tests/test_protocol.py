@@ -264,6 +264,32 @@ def test_frame_equals_only_a_frame_with_the_same_fields():
             setattr(frame, name, b"")
 
 
+@pytest.mark.parametrize("kind", [bytearray, memoryview], ids=["bytearray", "memoryview"])
+@pytest.mark.parametrize("built_by", ["constructor", "decode_frame"])
+def test_a_bytes_like_payload_is_held_as_bytes(kind, built_by):
+    payload = bytes(range(64))
+    expected = ProtocolFrame(FrameType.CHALLENGE, payload)
+    if built_by == "constructor":
+        buffer = bytearray(payload)
+        frame = ProtocolFrame(FrameType.CHALLENGE, kind(buffer))
+    else:
+        buffer = bytearray(encode_frame(expected))
+        frame, rest = decode_frame(kind(buffer))
+        assert rest == b""
+    assert frame.payload.__class__ is bytes
+    assert frame == expected and hash(frame) == hash(expected)
+    buffer[-1] ^= 0xFF  # the caller's buffer changes; the frame keeps what it was given
+    assert frame == expected and frame.payload == payload
+
+
+def test_a_payload_that_is_not_bytes_like_is_refused_when_the_frame_is_built():
+    with pytest.raises(TypeError):
+        ProtocolFrame(FrameType.CHALLENGE, "abc")
+    # the frame type is checked before the payload
+    with pytest.raises(BadFrameTypeError):
+        ProtocolFrame(0x07, "abc")
+
+
 def test_pepper_agreement_two_parties():
     rng = random.Random(52)
     a, b = rng.randbytes(64), rng.randbytes(64)
