@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Standard output carries only digests and protocol frames; anything meant
-for a human goes to standard error, so the tool can sit in a pipeline.
+Standard output carries only digests, peppers and protocol frames; anything
+meant for a human goes to standard error, so the tool can sit in a pipeline.
+Those lines are best effort: a closed or broken standard error drops them,
+and never changes the exit code.
 Exit codes: 0 success/match/accept, 1 mismatch/reject, 2 usage, format,
 I/O or protocol errors, or no memory or thread left. Run as a program,
 ``ash`` leaves SIGINT (Ctrl-C) to its default action: it ends the process
@@ -64,12 +66,21 @@ def _open_input(path: str, memory_budget: int) -> BinaryIO:
         stream.close()
 
 
+def _to_null(stream) -> None:
+    """Point a standard stream that failed a write at the null device.
+
+    What the write left in its buffer then goes there, so the interpreter's
+    own flush at exit does not fail a second time.
+    """
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, stream.fileno())
+    os.close(null)
+
+
 def _write_stdout(data: bytes) -> None:
     """Write data to standard output and flush it.
 
-    A closed or failing standard output is an I/O error (exit 2). Standard
-    output is then pointed at the null device, so the interpreter's own
-    flush at exit does not fail a second time.
+    A closed or failing standard output is an I/O error (exit 2).
     """
     if sys.stdout is None:
         raise AshError("standard output is closed")
@@ -77,10 +88,22 @@ def _write_stdout(data: bytes) -> None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     except OSError as exc:
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, sys.stdout.fileno())
-        os.close(null)
+        _to_null(sys.stdout)
         raise AshError(f"cannot write to standard output: {exc.strerror or exc}") from None
+
+
+def _write_stderr(line: str) -> None:
+    """Write one line for a human to standard error, best effort.
+
+    The line is dropped if standard error is closed or the write fails, as
+    argparse drops its own messages: it never changes the exit code, and
+    never goes to standard output, where ``print`` would send it.
+    """
+    if sys.stderr is not None:
+        try:
+            print(line, file=sys.stderr)
+        except OSError:
+            _to_null(sys.stderr)
 
 
 def _memory_budget(text: str) -> int:
@@ -136,7 +159,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise AshError(f"malformed digest: {exc}") from None
     with _open_input(args.path, args.memory_budget) as stream:
         matched = digestmod.verify(stream, claimed)
-    print("ash: match" if matched else "ash: mismatch", file=sys.stderr)
+    _write_stderr("ash: match" if matched else "ash: mismatch")
     return 0 if matched else 1
 
 
@@ -198,13 +221,13 @@ def _cmd_challenge(args: argparse.Namespace) -> int:
             _write_stdout(protocol.encode_frame(session.issue()))
             verdict = session.check(receive("responding"), message)
             _write_stdout(protocol.encode_frame(verdict))
-            print("ash: accept" if session.accepted else "ash: reject", file=sys.stderr)
+            _write_stderr("ash: accept" if session.accepted else "ash: reject")
             return 0 if session.accepted else 1
 
         session = protocol.Responder(variant)
         _write_stdout(protocol.encode_frame(session.answer(receive("challenging"), message)))
         accepted = protocol.verdict_accepted(receive("the verdict"))
-        print("ash: accepted" if accepted else "ash: rejected", file=sys.stderr)
+        _write_stderr("ash: accepted" if accepted else "ash: rejected")
         return 0 if accepted else 1
 
 
@@ -285,10 +308,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (AshError, OSError) as exc:
-        print(f"ash: {exc}", file=sys.stderr)
+        _write_stderr(f"ash: {exc}")
         return 2
     except MemoryError:  # exit 1 would read as a mismatch
-        print("ash: out of memory", file=sys.stderr)
+        _write_stderr("ash: out of memory")
         return 2
 
 

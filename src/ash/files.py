@@ -2,9 +2,9 @@
 
 The interleave permutation pairs half-block k with half-block k+N, so the
 second half of the padded stream is needed from the very first output
-block. ``_sections`` sizes the input once (any C-contiguous buffer is
-bytes-like; anything with ``seek`` is a stream), builds the pad suffix
-once, and takes the first-half region (halves 1..N) and the second-half
+block. ``_sections`` sizes the input once (any C-contiguous buffer, an
+mmap too, is bytes-like; only an object with no such buffer is asked for
+``seek``, as a stream), builds the pad suffix once, and takes the first-half region (halves 1..N) and the second-half
 region (halves N+1..2N) as two runs. When the padded stream fits in one
 chunk, the calling thread does it in a straight line: both runs are sliced
 from one copy of the input joined to the suffix (a stream is read once,
@@ -14,7 +14,8 @@ one flat view (never copying it whole) and reading a stream at the
 offsets. Each pair of runs is zipped, peppered with a mask built once per
 call, and fed to the section hashes; a whole chunk of zeros skips the zip
 and the XOR, whose results it knows. One worker thread owns the dynamic
-hash: the calling thread zips each chunk, hands it over and runs the
+hash for the life of one ``with`` block around the chunk loop, which joins
+it on the way out, also on error: the calling thread zips each chunk, hands it over and runs the
 static SHA pass with the interpreter lock released (hashlib drops it while
 it hashes), while the worker XORs the chunk with the pepper and runs the
 dynamic pass. With no static pass (``dynamic_section``) the caller XORs
@@ -120,16 +121,16 @@ def _sections(
     flat = before = None
     if source.__class__ is bytes:
         flat = source  # sliced as it is: a view over it costs more than it saves
-    elif not hasattr(source, "seek"):
-        # any other bytes-like object is read through a flat view of its bytes
+    else:
+        # any other C-contiguous buffer, an mmap too, is read through a flat view
         try:
-            flat = memoryview(source)
+            flat = memoryview(source).cast("B")
         except TypeError:
-            raise TypeError(
-                "message must be bytes-like or a seekable binary stream, "
-                f"not {type(source).__name__}"
-            ) from None
-        flat = flat.cast("B")
+            if not hasattr(source, "seek"):
+                raise TypeError(
+                    "message must be bytes-like or a seekable binary stream, "
+                    f"not {type(source).__name__}"
+                ) from None
     if flat is not None:
         size = len(flat)
     else:
@@ -180,8 +181,7 @@ def _sections(
         _keep_chunk_pages(full)
         zero = bytes(step * half)  # the runs of a short last chunk never equal it
         tiled = None
-        worker = _HashWorker(dynamic_hash, pepper)
-        try:
+        with _HashWorker(dynamic_hash, pepper) as worker:
             for k in range(0, pairs, step):
                 m = min(pairs - k, step)
                 first = read_at(k * half, m * half)
@@ -207,11 +207,6 @@ def _sections(
                 else:
                     worker.put(segment, tile)
                     static_hash.update(segment)
-        finally:
-            # an error raised in the loop takes precedence over the worker's
-            failure = worker.close()
-        if failure is not None:
-            raise failure
     if before is not None:
         # best effort: a rewrite within one tick of the file clock goes unseen
         after = os.fstat(fd)
@@ -228,9 +223,9 @@ class _HashWorker:
     tiled as the big-endian integer ``mask``, before ``hash_obj.update``;
     ``put(chunk)`` hashes the chunk as it is. At most one chunk waits in
     the hand-off between the threads. An error the thread hits in the XOR
-    or the update is raised by the next ``put``. ``close`` must follow the
-    last ``put``, also on error: it joins the thread and returns that
-    error, if any.
+    or the update is raised by the next ``put``. The worker runs only as
+    ``with _HashWorker(...) as worker:``; leaving the block joins the
+    thread and raises that error, unless the block raised one of its own.
     """
 
     def __init__(self, hash_obj: Any, pepper: bytes):
@@ -251,7 +246,7 @@ class _HashWorker:
 
     def _drain(self) -> None:
         # Keeps taking chunks after a failure, so ``put`` never blocks on a
-        # full hand-off; ``close`` passes the failure to the calling thread.
+        # full hand-off; ``__exit__`` passes the failure to the calling thread.
         while (item := self._handoff.get()) is not None:
             if self._failure is None:
                 chunk, mask = item
@@ -267,10 +262,14 @@ class _HashWorker:
             raise self._failure
         self._handoff.put((chunk, mask))
 
-    def close(self) -> BaseException | None:
+    def __enter__(self) -> _HashWorker:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
         self._handoff.put(None)
         self._thread.join()
-        return self._failure
+        if exc is None and self._failure is not None:
+            raise self._failure
 
 
 def spool_to_seekable(source: BinaryIO, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> BinaryIO:

@@ -89,6 +89,8 @@ def _frame_type(value: int) -> FrameType:
     """The member for a wire byte or bare int; refuse any other value."""
     frame_type = _FRAME_TYPES.get(value)
     if frame_type is None:
+        if not isinstance(value, int):
+            raise TypeError(f"frame type must be an int, not {type(value).__name__}")
         raise BadFrameTypeError(f"unknown frame type {value:#x}")
     return frame_type
 

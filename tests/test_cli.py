@@ -783,6 +783,42 @@ def test_closed_stdin_exits_2_with_one_line(sample, command):
     assert result.stderr.decode().splitlines() == ["ash: standard input is closed"]
 
 
+def _run_with_stderr(argv, stderr):
+    """Run the CLI with standard error closed, or a pipe nobody will ever read."""
+    argv = [sys.executable, "-m", "ash.cli", *argv]
+    if stderr == "closed":
+        return subprocess.run(
+            argv, stdout=subprocess.PIPE, env=_cli_env(), timeout=60,
+            preexec_fn=lambda: os.close(2),
+        )
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write fails with EPIPE
+    try:
+        return subprocess.run(
+            argv, stdout=subprocess.PIPE, stderr=write_end, env=_cli_env(), timeout=60
+        )
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("stderr", ["closed", "broken-pipe"])
+def test_unwritable_stderr_changes_neither_exit_code_nor_stdout(sample, tmp_path, stderr):
+    # the "ash: ..." lines are dropped: none turns a match into exit 1 or
+    # falls back to standard output
+    pepper = bytes(range(64))
+    digest = encode(create(sample.read_bytes(), ASH1, pepper))
+    other = encode(create(b"other contents", ASH1, pepper))
+    runs = [
+        (["verify", digest, str(sample)], 0, b""),
+        (["verify", other, str(sample)], 1, b""),
+        (["hash", str(tmp_path / "missing")], 2, b""),
+        (["hash", "--pepper", pepper.hex(), str(sample)], 0, f"{digest}\n".encode()),
+    ]
+    for argv, code, stdout in runs:
+        result = _run_with_stderr(argv, stderr)
+        assert (result.returncode, result.stdout) == (code, stdout), argv
+
+
 EXHAUSTION_COMMANDS = {
     "hash": ["hash", "{file}"],
     "verify": ["verify", "{digest}", "{file}"],

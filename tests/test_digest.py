@@ -1,8 +1,10 @@
 """Digest assembly, verification, pairing, and the three encodings."""
 
 import io
+import mmap
 import pickle
 import random
+import tempfile
 from array import array
 
 import pytest
@@ -368,13 +370,19 @@ def test_digest_fields_are_read_only():
 @pytest.mark.parametrize("typecode", ["B", "I"])
 def test_any_contiguous_buffer_is_hashed_as_its_raw_bytes(variant, typecode):
     pepper = bytes(range(variant.pepper_size))
-    # one chunk and, at 160 KiB, more than one
+    # one chunk and, at 160 KiB, more than one; an mmap of the same bytes has
+    # seek as well, and is still hashed as a buffer
     for count in (7, 40000):
         items = array(typecode, (i % 251 for i in range(count)))
         expected = create(items.tobytes(), variant, pepper)
-        assert create(items, variant, pepper) == expected
-        assert verify(items, expected)
-        assert dynamic_section(items, variant, pepper) == expected.dynamic_section
+        with tempfile.TemporaryFile() as file:
+            items.tofile(file)
+            file.flush()
+            with mmap.mmap(file.fileno(), 0) as mapped:
+                for message in (items, mapped):
+                    assert create(message, variant, pepper) == expected
+                    assert verify(message, expected)
+                    assert dynamic_section(message, variant, pepper) == expected.dynamic_section
 
 
 @pytest.mark.parametrize("message", ["abc", 3, None], ids=["str", "int", "None"])

@@ -391,6 +391,16 @@ def test_a_failing_base_hash_raises_instead_of_hanging(size, ok, which):
     assert threading.active_count() == threads
 
 
+def test_an_error_in_the_chunk_loop_wins_over_the_workers():
+    # the worker fails its first update; the stream shrinks after the first
+    # chunk's two reads, so the loop fails too, before its second hand-off
+    stream = _Shrinking(random.Random(88).randbytes(3 * CHUNK_BYTES + 500), reads=2)
+    threads = threading.active_count()
+    outcome = _outcome_within(60, lambda: dynamic_section(stream, _failing_variant(0), bytes(64)))
+    assert isinstance(outcome, AshError) and "shrank" in str(outcome)
+    assert threading.active_count() == threads
+
+
 def test_concurrent_multi_chunk_digests_match_the_oracle():
     # more digesting threads than cores, switching as often as possible: a
     # chunk lost or reordered on its way to the worker breaks the digest
