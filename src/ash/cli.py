@@ -15,10 +15,11 @@ process killed by SIGINT and stops a loop that ran it. A SIGINT that
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import stat
 import sys
-from typing import BinaryIO, Iterator
+from collections.abc import Iterator
 
 from . import digest as digestmod
 from . import files
@@ -38,14 +39,14 @@ _PAGE = os.sysconf("SC_PAGE_SIZE")
 _SHARE_LINE_LIMIT = 2 * ASH2.pepper_size
 
 
-def _stdin() -> BinaryIO:
+def _stdin() -> io.IOBase:
     """Standard input as bytes; a closed standard input is an I/O error (exit 2)."""
     if sys.stdin is None:
         raise AshError("standard input is closed")
     return sys.stdin.buffer
 
 
-def _open_input(path: str, memory_budget: int) -> BinaryIO:
+def _open_input(path: str, memory_budget: int) -> io.IOBase:
     """The input, by path or ``-``, as a seekable stream for the caller to close.
 
     A regular file larger than one page, read from its start, is hashed in
@@ -117,14 +118,15 @@ def _memory_budget(text: str) -> int:
     return budget
 
 
-def _parse_pepper(hex_text: str, variant: AshVariant) -> bytes:
+def _parse_pepper(hex_text: str, variant: AshVariant, what: str = "--pepper") -> bytes:
+    """One ``variant`` pepper in hex; the messages name it as ``what``."""
     try:
         pepper = bytes.fromhex(hex_text)
     except ValueError:
-        raise AshError("--pepper is not valid hex") from None
+        raise AshError(f"{what} is not valid hex") from None
     if len(pepper) != variant.pepper_size:
         raise AshError(
-            f"--pepper must be {variant.pepper_size} bytes "
+            f"{what} must be {variant.pepper_size} bytes "
             f"({2 * variant.pepper_size} hex chars) for {variant.name}, got {len(pepper)}"
         )
     return pepper
@@ -163,11 +165,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if matched else 1
 
 
-def _read_shares(stream: BinaryIO, variant: AshVariant) -> Iterator[bytes]:
+def _read_shares(stream: io.IOBase, variant: AshVariant) -> Iterator[bytes]:
     """Each non-blank line of ``stream`` as a hex share of one ``variant`` pepper.
 
-    Lines are read one bounded line at a time, and a share of any other
-    length than the variant's pepper is refused.
+    Lines are read one bounded line at a time, and each is parsed as
+    ``--pepper`` is, so a share of any other length is refused.
     """
     # room for a "\r\n" ending; a longer line is still longer once it is stripped
     while line := stream.readline(_SHARE_LINE_LIMIT + 2):
@@ -175,16 +177,8 @@ def _read_shares(stream: BinaryIO, variant: AshVariant) -> Iterator[bytes]:
         if len(text) > _SHARE_LINE_LIMIT:
             raise AshError(f"share lines must be at most {_SHARE_LINE_LIMIT} characters")
         if text.strip():
-            try:
-                share = bytes.fromhex(text.decode("ascii"))
-            except ValueError:
-                raise AshError("share lines must be hex") from None
-            if len(share) != variant.pepper_size:
-                raise AshError(
-                    f"a share is {len(share)} bytes; {variant.name} shares are "
-                    f"{variant.pepper_size} bytes ({2 * variant.pepper_size} hex chars)"
-                )
-            yield share
+            # a non-ASCII byte becomes U+FFFD, which is not hex either
+            yield _parse_pepper(text.decode("ascii", "replace"), variant, "a share")
 
 
 def _cmd_pepper(args: argparse.Namespace) -> int:

@@ -20,7 +20,7 @@ stays flat whatever the message size.
 from __future__ import annotations
 
 import hmac
-from typing import BinaryIO
+import io
 
 from .errors import DigestFormatError, SizeMismatchError
 from .files import _sections
@@ -67,7 +67,7 @@ class AshDigest(Record):
 
 
 def create(
-    message: bytes | BinaryIO, variant: AshVariant = ASH1, pepper: bytes | None = None
+    message: bytes | io.IOBase, variant: AshVariant = ASH1, pepper: bytes | None = None
 ) -> AshDigest:
     """Hash a message, drawing a fresh random pepper unless one is supplied.
 
@@ -85,7 +85,7 @@ def create(
     return AshDigest(variant, *_sections(message, variant, pepper))
 
 
-def dynamic_section(message: bytes | BinaryIO, variant: AshVariant, pepper: bytes) -> bytes:
+def dynamic_section(message: bytes | io.IOBase, variant: AshVariant, pepper: bytes) -> bytes:
     """Just the pepper-bound section, for protocols that exchange it alone.
 
     ``message`` is bytes-like or a seekable binary stream, hashed from offset 0,
@@ -106,7 +106,7 @@ def sections_match(computed: AshDigest, claimed: AshDigest) -> bool:
     return _match(computed.static_section, computed.dynamic_section, claimed)
 
 
-def verify(message: bytes | BinaryIO, claimed: AshDigest) -> bool:
+def verify(message: bytes | io.IOBase, claimed: AshDigest) -> bool:
     """Recompute with the embedded pepper; both sections must match.
 
     ``message`` is read as ``create`` reads it, stream size snapshot included.

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import io
 import os
-from typing import Any, BinaryIO
 
 from .errors import AshError, SizeMismatchError
 from .restructure import interleave_runs, pad_suffix
@@ -76,7 +75,7 @@ def _keep_chunk_pages(chunk_bytes: int) -> None:
         bytes(block)
 
 
-def _read_exactly(stream: BinaryIO, n: int) -> bytes:
+def _read_exactly(stream: io.IOBase, n: int) -> bytes:
     """Read n bytes from a blocking stream; fewer only if the stream ends first."""
     parts = []
     while n:
@@ -88,7 +87,7 @@ def _read_exactly(stream: BinaryIO, n: int) -> bytes:
     return b"".join(parts)
 
 
-def _read_span(stream: BinaryIO, offset: int, count: int) -> bytes:
+def _read_span(stream: io.IOBase, offset: int, count: int) -> bytes:
     """count bytes of a seekable stream from offset; AshError if it ends first."""
     stream.seek(offset)
     data = _read_exactly(stream, count)
@@ -98,7 +97,7 @@ def _read_span(stream: BinaryIO, offset: int, count: int) -> bytes:
 
 
 def _sections(
-    source: bytes | BinaryIO,
+    source: bytes | io.IOBase,
     variant: AshVariant,
     pepper: bytes,
     static: bool = True,
@@ -131,82 +130,87 @@ def _sections(
                     "message must be bytes-like or a seekable binary stream, "
                     f"not {type(source).__name__}"
                 ) from None
-    if flat is not None:
-        size = len(flat)
-    else:
-        size = source.seek(0, os.SEEK_END)
-        # Only a file object is asked for its descriptor: fileno() rolls a
-        # SpooledTemporaryFile over to disk.
-        if isinstance(source, (io.FileIO, io.BufferedReader, io.BufferedRandom)):
-            try:
-                fd = source.fileno()
-            except io.UnsupportedOperation:  # a buffer over an in-memory stream
-                pass
-            else:
-                before = os.fstat(fd)
-    suffix = pad_suffix(size, variant)
-    half = variant.half_size
-    pairs = (size + len(suffix)) // variant.block_size
-    mid = pairs * half
-    static_hash = variant.base.new() if static else None
-    dynamic_hash = variant.base.new()
-    if pairs <= _CHUNK_HALVES:
-        # Both runs are slices of one copy of the padded stream, no longer
-        # than the chunk they zip into. A stream is read in one read, so the
-        # digest is of one snapshot of it.
-        if flat is None:
-            flat = _read_span(source, 0, size)
-        padded = b"".join((flat, suffix))
-        segment = interleave_runs(padded[:mid], padded[mid:], half)
-        dynamic_hash.update(apply_pepper(segment, pepper))
-        if static_hash is not None:
-            static_hash.update(segment)
-    else:
-
-        def read_at(offset: int, count: int) -> bytes:
-            # count bytes of the padded stream: the input's, then the suffix's
-            end = offset + count
-            if offset >= size:
-                return suffix[offset - size : end - size]
-            stop = min(end, size)
-            if flat is not None:
-                data = bytes(flat[offset:stop])  # a bytes slice is kept as it is
-            else:
-                data = _read_span(source, offset, stop - offset)
-            return data + suffix[: end - stop]
-
-        step = _CHUNK_HALVES
-        full = step * variant.block_size
-        mask = int.from_bytes(pepper * step, "big")
-        _keep_chunk_pages(full)
-        zero = bytes(step * half)  # the runs of a short last chunk never equal it
-        tiled = None
-        with _HashWorker(dynamic_hash, pepper) as worker:
-            for k in range(0, pairs, step):
-                m = min(pairs - k, step)
-                first = read_at(k * half, m * half)
-                second = read_at(mid + k * half, m * half)
-                if first == zero and second == zero:
-                    # Zipping zeros gives zeros, and XORing zeros with the
-                    # pepper gives the pepper tiled: only the SHA passes remain.
-                    if static_hash is not None:
-                        static_hash.update(first)
-                        static_hash.update(second)
-                    if tiled is None:
-                        tiled = pepper * step
-                    worker.put(tiled)
-                    continue
-                segment = interleave_runs(first, second, half)
-                # the short last chunk takes the leading bytes of the tile; a
-                # zero shift would copy the whole mask
-                n = len(segment)
-                tile = mask if n == full else mask >> 8 * (full - n)
-                # beside a static pass the worker XORs, else this thread does
-                if static_hash is None:
-                    worker.put(apply_pepper(segment, pepper, mask=tile))
+    try:
+        if flat is not None:
+            size = len(flat)
+        else:
+            size = source.seek(0, os.SEEK_END)
+            # Only a file object is asked for its descriptor: fileno() rolls a
+            # SpooledTemporaryFile over to disk.
+            if isinstance(source, (io.FileIO, io.BufferedReader, io.BufferedRandom)):
+                try:
+                    fd = source.fileno()
+                except io.UnsupportedOperation:  # a buffer over an in-memory stream
+                    pass
                 else:
-                    worker.put(segment, tile)
-                    static_hash.update(segment)
+                    before = os.fstat(fd)
+        suffix = pad_suffix(size, variant)
+        half = variant.half_size
+        pairs = (size + len(suffix)) // variant.block_size
+        mid = pairs * half
+        static_hash = variant.base.new() if static else None
+        dynamic_hash = variant.base.new()
+        if pairs <= _CHUNK_HALVES:
+            # Both runs are slices of one copy of the padded stream, no longer
+            # than the chunk they zip into. A stream is read in one read, so the
+            # digest is of one snapshot of it.
+            if flat is None:
+                flat = _read_span(source, 0, size)
+            padded = b"".join((flat, suffix))
+            segment = interleave_runs(padded[:mid], padded[mid:], half)
+            dynamic_hash.update(apply_pepper(segment, pepper))
+            if static_hash is not None:
+                static_hash.update(segment)
+        else:
+
+            def read_at(offset: int, count: int) -> bytes:
+                # count bytes of the padded stream: the input's, then the suffix's
+                end = offset + count
+                if offset >= size:
+                    return suffix[offset - size : end - size]
+                stop = min(end, size)
+                if flat is not None:
+                    data = bytes(flat[offset:stop])  # a bytes slice is kept as it is
+                else:
+                    data = _read_span(source, offset, stop - offset)
+                return data + suffix[: end - stop]
+
+            step = _CHUNK_HALVES
+            full = step * variant.block_size
+            mask = int.from_bytes(pepper * step, "big")
+            _keep_chunk_pages(full)
+            zero = bytes(step * half)  # the runs of a short last chunk never equal it
+            tiled = None
+            with _HashWorker(dynamic_hash, pepper) as worker:
+                for k in range(0, pairs, step):
+                    m = min(pairs - k, step)
+                    first = read_at(k * half, m * half)
+                    second = read_at(mid + k * half, m * half)
+                    if first == zero and second == zero:
+                        # Zipping zeros gives zeros, and XORing zeros with the
+                        # pepper gives the pepper tiled: only the SHA passes remain.
+                        if static_hash is not None:
+                            static_hash.update(first)
+                            static_hash.update(second)
+                        if tiled is None:
+                            tiled = pepper * step
+                        worker.put(tiled)
+                        continue
+                    segment = interleave_runs(first, second, half)
+                    # the short last chunk takes the leading bytes of the tile; a
+                    # zero shift would copy the whole mask
+                    n = len(segment)
+                    tile = mask if n == full else mask >> 8 * (full - n)
+                    # beside a static pass the worker XORs, else this thread does
+                    if static_hash is None:
+                        worker.put(apply_pepper(segment, pepper, mask=tile))
+                    else:
+                        worker.put(segment, tile)
+                        static_hash.update(segment)
+    finally:
+        # a traceback keeps this frame, which must not keep the caller's buffer pinned
+        if flat.__class__ is memoryview:
+            flat.release()
     if before is not None:
         # best effort: a rewrite within one tick of the file clock goes unseen
         after = os.fstat(fd)
@@ -228,7 +232,7 @@ class _HashWorker:
     thread and raises that error, unless the block raised one of its own.
     """
 
-    def __init__(self, hash_obj: Any, pepper: bytes):
+    def __init__(self, hash_obj: object, pepper: bytes):
         # Imported here: only inputs longer than one chunk start a thread, so
         # a one-chunk call and the CLI's start-up do not load these modules.
         import queue
@@ -272,7 +276,7 @@ class _HashWorker:
             raise self._failure
 
 
-def spool_to_seekable(source: BinaryIO, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> BinaryIO:
+def spool_to_seekable(source: io.IOBase, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> io.IOBase:
     """Buffer a non-seekable stream (a pipe, usually) into something seekable.
 
     Stays in memory up to ``memory_budget`` bytes, then spills to a

@@ -13,8 +13,8 @@ the benchmark (ROADMAP items 1 and 2).
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Any, Callable
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class BlockHashFunction:
     name: str
     block_size: int
     digest_size: int
-    new: Callable[[], Any]
+    new: Callable[[], object]
 
     def compute(self, data: bytes) -> bytes:
         h = self.new()

@@ -24,9 +24,9 @@ data.
 from __future__ import annotations
 
 import hmac
+import io
 import struct
 from enum import Enum, IntEnum
-from typing import BinaryIO
 
 from .digest import dynamic_section
 from .errors import (
@@ -86,11 +86,12 @@ class ProtocolFrame(Record):
 
 
 def _frame_type(value: int) -> FrameType:
-    """The member for a wire byte or bare int; refuse any other value."""
+    """The member for a wire byte or plain int; refuse any other value."""
+    # checked by class first: 2.0 and True would match an int key
+    if value.__class__ is not int and value.__class__ is not FrameType:
+        raise TypeError(f"frame type must be an int, not {type(value).__name__}")
     frame_type = _FRAME_TYPES.get(value)
     if frame_type is None:
-        if not isinstance(value, int):
-            raise TypeError(f"frame type must be an int, not {type(value).__name__}")
         raise BadFrameTypeError(f"unknown frame type {value:#x}")
     return frame_type
 
@@ -136,7 +137,7 @@ def decode_frame(data: bytes) -> tuple[ProtocolFrame, bytes]:
     return ProtocolFrame(frame_type, data[HEADER_SIZE:end]), data[end:]
 
 
-def read_frame(stream: BinaryIO) -> ProtocolFrame | None:
+def read_frame(stream: io.IOBase) -> ProtocolFrame | None:
     """Read one frame from a blocking stream; None on clean end-of-stream.
 
     The header is checked before its length is trusted for the payload read;
@@ -193,7 +194,7 @@ class Challenger:
         self.phase = Phase.AWAITING_RESPONSE
         return ProtocolFrame(FrameType.CHALLENGE, pepper)
 
-    def check(self, response: ProtocolFrame, message: bytes | BinaryIO) -> ProtocolFrame:
+    def check(self, response: ProtocolFrame, message: bytes | io.IOBase) -> ProtocolFrame:
         """Compare the response against the local copy; emit the verdict frame."""
         if self.phase is not Phase.AWAITING_RESPONSE:
             raise ProtocolError(f"cannot check a response in phase {self.phase.value}")
@@ -215,7 +216,7 @@ class Responder:
         self.variant = variant
         self.phase = Phase.AWAITING_CHALLENGE
 
-    def answer(self, challenge: ProtocolFrame, message: bytes | BinaryIO) -> ProtocolFrame:
+    def answer(self, challenge: ProtocolFrame, message: bytes | io.IOBase) -> ProtocolFrame:
         if self.phase is not Phase.AWAITING_CHALLENGE:
             raise ProtocolError(f"cannot answer a challenge in phase {self.phase.value}")
         _expect(challenge, FrameType.CHALLENGE, self.variant.pepper_size)

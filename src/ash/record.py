@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any
 
 
 class Record(tuple):
@@ -26,13 +25,13 @@ class Record(tuple):
         for index, name in enumerate(cls._fields):
             setattr(cls, name, property(itemgetter(index)))
 
-    def __eq__(self, other: Any) -> Any:
+    def __eq__(self, other: object) -> object:
         if other.__class__ is self.__class__:
             return tuple.__eq__(self, other)
         # a plain tuple would compare item by item if handed NotImplemented
         return False if isinstance(other, tuple) else NotImplemented
 
-    def __ne__(self, other: Any) -> Any:
+    def __ne__(self, other: object) -> object:
         equal = self.__eq__(other)
         return equal if equal is NotImplemented else not equal
 

@@ -15,7 +15,7 @@ second-half halves per chunk and zips them with it.
 from __future__ import annotations
 
 import struct
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import MessageTooLongError, SizeMismatchError
 from .variants import AshVariant

@@ -9,7 +9,7 @@ to the message itself before the pipeline runs.
 from __future__ import annotations
 
 import os
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import SizeMismatchError
 from .variants import AshVariant

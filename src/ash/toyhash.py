@@ -11,7 +11,7 @@ breaks the effect.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import SizeMismatchError
 from .hashes import BlockHashFunction
@@ -88,9 +88,7 @@ def collide(block: bytes) -> bytes:
     return w1.to_bytes(4, "big") + w2.to_bytes(4, "big")
 
 
-class CascadeReport(NamedTuple):
-    naive_collides: bool
-    ash_collides: bool
+CascadeReport = namedtuple("CascadeReport", ("naive_collides", "ash_collides"))
 
 
 def demonstrate_cascade(prefix: bytes, suffix: bytes) -> CascadeReport:

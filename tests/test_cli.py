@@ -317,7 +317,7 @@ def test_pepper_combine_takes_only_shares_of_the_variants_pepper_size(variant, s
             assert result.stdout == b""
             lines = result.stderr.decode().splitlines()
             # an ASH-2 share one byte too long is over the line limit as well
-            reason = "share lines must be" if 2 * wrong > 256 else f"a share is {wrong} bytes"
+            reason = "share lines must be" if 2 * wrong > 256 else f"a share must be {size} bytes"
             assert len(lines) == 1 and lines[0].startswith(f"ash: {reason}"), lines
 
 
@@ -516,13 +516,16 @@ def test_redirected_standard_input_is_hashed_in_place(sample_over_a_page, monkey
 def test_start_up_and_an_in_place_hash_leave_tempfile_unloaded(sample_over_a_page):
     # -S: site can load tempfile itself (a certifi .pth does), which would
     # hide an import of it by ash. The file is more than a page and at most
-    # one chunk, so it is hashed in place and starts no worker thread.
+    # one chunk, so it is hashed in place and starts no worker thread. No
+    # module of ash imports typing, the ones off the CLI's path included.
     code = (
         "import sys, ash.cli\n"
         "ash.cli.build_parser()\n"
         "loaded = ['tempfile' in sys.modules]\n"
         "assert ash.cli.main(['hash', sys.argv[1]]) == 0\n"
         "loaded += [name in sys.modules for name in ('tempfile', 'threading', 'queue')]\n"
+        "import ash.protocol, ash.toyhash\n"
+        "loaded += ['typing' in sys.modules]\n"
         "print(loaded, file=sys.stderr)\n"
     )
     result = subprocess.run(
@@ -530,7 +533,7 @@ def test_start_up_and_an_in_place_hash_leave_tempfile_unloaded(sample_over_a_pag
         capture_output=True, env=_cli_env(), timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stderr.decode().strip() == "[False, False, False, False]"
+    assert result.stderr.decode().strip() == "[False, False, False, False, False]"
 
 
 def test_standard_input_part_way_into_its_file_is_hashed_from_there(sample):

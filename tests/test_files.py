@@ -6,6 +6,7 @@ import gc
 import hashlib
 import io
 import json
+import mmap
 import os
 import pathlib
 import platform
@@ -399,6 +400,33 @@ def test_an_error_in_the_chunk_loop_wins_over_the_workers():
     outcome = _outcome_within(60, lambda: dynamic_section(stream, _failing_variant(0), bytes(64)))
     assert isinstance(outcome, AshError) and "shrank" in str(outcome)
     assert threading.active_count() == threads
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("size", [1000, 300_000], ids=["one-chunk", "chunks"])
+def test_a_failed_digest_leaves_a_buffer_message_unpinned(monkeypatch, size):
+    # The traceback keeps the digest's frame alive; its view of the message
+    # must not outlive the digest, or the caller can neither resize a
+    # bytearray nor close an mmap while the error propagates.
+    def failing_zip(first, second, half_size):
+        raise _Boom
+
+    monkeypatch.setattr(ash.files, "interleave_runs", failing_zip)
+    data = random.Random(size).randbytes(size)
+    message = bytearray(data)
+    try:
+        create(message, ASH1)
+    except _Boom:
+        message.extend(b"!")  # BufferError while any view of it is exported
+    assert message == data + b"!"
+    with pytest.raises(_Boom):
+        with mmap.mmap(-1, size) as mapped:
+            mapped[:] = data
+            create(mapped, ASH1)
+    assert mapped.closed
 
 
 def test_concurrent_multi_chunk_digests_match_the_oracle():

@@ -288,8 +288,9 @@ def test_a_payload_that_is_not_bytes_like_is_refused_when_the_frame_is_built():
     # the frame type is checked before the payload
     with pytest.raises(BadFrameTypeError):
         ProtocolFrame(0x07, "abc")
-    # a frame type that is not an int is refused by its type, not formatted
-    for frame_type in ("x", 2.5, None):
+    # a frame type that is not an int is refused by its type, not formatted;
+    # one that only equals a known int, a bool included, is not taken for it
+    for frame_type in ("x", 2.5, None, 2.0, True, False):
         with pytest.raises(TypeError, match=f"not {type(frame_type).__name__}$"):
             ProtocolFrame(frame_type, b"")
 
