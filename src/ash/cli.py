@@ -46,7 +46,7 @@ def _stdin() -> io.IOBase:
     return sys.stdin.buffer
 
 
-def _open_input(path: str, memory_budget: int) -> io.IOBase:
+def _open_input(path: str, memory_budget: int = files.DEFAULT_MEMORY_BUDGET) -> io.IOBase:
     """The input, by path or ``-``, as a seekable stream for the caller to close.
 
     A regular file larger than one page, read from its start, is hashed in
@@ -159,7 +159,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         claimed = _read_digest_argument(args.digest)
     except DigestFormatError as exc:
         raise AshError(f"malformed digest: {exc}") from None
-    with _open_input(args.path, args.memory_budget) as stream:
+    with _open_input(args.path) as stream:
         matched = digestmod.verify(stream, claimed)
     _write_stderr("ash: match" if matched else "ash: mismatch")
     return 0 if matched else 1
@@ -209,7 +209,7 @@ def _cmd_challenge(args: argparse.Namespace) -> int:
             raise AshError(f"peer closed the stream before {awaited}")
         return frame
 
-    with _open_input(args.file, files.DEFAULT_MEMORY_BUDGET) as message:
+    with _open_input(args.file) as message:
         if args.role == "challenger":
             session = protocol.Challenger(variant)
             _write_stdout(protocol.encode_frame(session.issue()))
@@ -225,33 +225,12 @@ def _cmd_challenge(args: argparse.Namespace) -> int:
         return 0 if accepted else 1
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser, which takes operands after options as well.
-
-    Plain argparse matches ``verify``'s optional FILE to nothing when an
-    option follows DIGEST, and then refuses a FILE after that option as
-    unrecognized. Here an optional operand that would match nothing just
-    before an option waits for the operands after it.
-
-    Plain argparse refuses ``verify DIGEST --memory-budget 5 FILE`` on
-    Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0, and accepts it on 3.13.13,
-    as this class does on all five; it can go once 3.13.13 is the floor.
-    """
-
-    def _match_arguments_partial(self, actions, arg_strings_pattern):
-        counts = super()._match_arguments_partial(actions, arg_strings_pattern)
-        if arg_strings_pattern[sum(counts) : sum(counts) + 1] == "O":
-            while counts and not counts[-1]:
-                counts.pop()
-        return counts
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ash",
         description="Seasoned hashing: restructured, peppered digests over SHA-2.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--variant", choices=("ash1", "ash2"), default="ash1")
@@ -260,6 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_hash)
     p_hash.add_argument("--pepper", metavar="HEX", help="fixed pepper instead of a random one")
     p_hash.add_argument("--format", choices=("binary", "hex", "tagged"), default="tagged")
+    p_hash.add_argument(
+        "--memory-budget",
+        type=_memory_budget,
+        default=files.DEFAULT_MEMORY_BUDGET,
+        metavar="BYTES",
+        help="in-memory limit for spooled input (pipes, devices) before spilling to disk",
+    )
     p_hash.add_argument("path", nargs="?", default="-")
     p_hash.set_defaults(func=_cmd_hash)
 
@@ -267,15 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("digest", help="encoded digest, or @path to read it from a file")
     p_verify.add_argument("path", nargs="?", default="-")
     p_verify.set_defaults(func=_cmd_verify)
-
-    for p in (p_hash, p_verify):
-        p.add_argument(
-            "--memory-budget",
-            type=_memory_budget,
-            default=files.DEFAULT_MEMORY_BUDGET,
-            metavar="BYTES",
-            help="in-memory limit for spooled input (pipes, devices) before spilling to disk",
-        )
 
     p_pepper = sub.add_parser("pepper", help="generate or combine pepper material")
     p_pepper.add_argument("action", choices=("gen", "combine"))

@@ -123,13 +123,18 @@ def _sections(
     else:
         # any other C-contiguous buffer, an mmap too, is read through a flat view
         try:
-            flat = memoryview(source).cast("B")
+            view = memoryview(source)
         except TypeError:
             if not hasattr(source, "seek"):
                 raise TypeError(
                     "message must be bytes-like or a seekable binary stream, "
                     f"not {type(source).__name__}"
                 ) from None
+        else:
+            with view:  # the cast holds the buffer by itself
+                if not view.c_contiguous:
+                    raise TypeError("a buffer message must be C-contiguous, not strided")
+                flat = view.cast("B")
     try:
         if flat is not None:
             size = len(flat)

@@ -151,11 +151,9 @@ def test_a_large_pipe_peaks_no_higher_than_a_small_one_at_the_default_budget():
     assert large <= small + 512, (small, large)  # two ASH-2 chunks
 
 
-@pytest.mark.parametrize("command", ["hash", "verify"])
+@pytest.mark.parametrize("command", ["hash"])
 def test_a_negative_memory_budget_is_refused(sample, command):
-    digest = run_cli("hash", str(sample), check=True).stdout.decode().strip()
-    argv = {"hash": ["hash"], "verify": ["verify", digest]}[command]
-    result = run_cli(*argv, "--memory-budget", "-1", str(sample))
+    result = run_cli(command, "--memory-budget", "-1", str(sample))
     assert result.returncode == 2
     assert result.stdout == b""
     assert b"--memory-budget: must be 0 or more, got -1" in result.stderr
@@ -186,18 +184,33 @@ def test_verify_fresh_digest(sample):
     assert result.returncode == 0
 
 
-@pytest.mark.parametrize("where", ["before", "between", "after"])
-def test_verify_takes_its_options_anywhere_among_the_operands(sample, where):
-    # plain argparse gives FILE its default at DIGEST when an option follows
-    digest = run_cli("hash", str(sample), check=True).stdout.decode().strip()
-    option = ["--memory-budget", "5"]
-    argv = {
-        "before": [*option, digest, str(sample)],
-        "between": [digest, *option, str(sample)],
-        "after": [digest, str(sample), *option],
-    }[where]
-    result = run_cli("verify", *argv)
-    assert (result.returncode, result.stderr) == (0, b"ash: match\n")
+@pytest.mark.parametrize(
+    "command, operands, options",
+    [
+        ("hash", ["FILE"], ["--variant", "ash2", "--pepper", "5a", "--memory-budget", "5"]),
+        ("pepper", ["combine"], ["--variant", "ash2"]),
+        ("challenge", ["FILE"], ["--role", "responder", "--variant", "ash2"]),
+    ],
+    ids=["hash", "pepper", "challenge"],
+)
+def test_options_parse_the_same_before_and_after_the_operands(command, operands, options):
+    parser = cli.build_parser()
+    before = parser.parse_args([command, *options, *operands])
+    assert before.variant == "ash2" and operands[0] in vars(before).values()
+    assert parser.parse_args([command, *operands, *options]) == before
+    if len(options) > 2:  # split around the operands as well
+        assert parser.parse_args([command, *options[:2], *operands, *options[2:]]) == before
+
+
+def test_verify_parses_a_digest_and_an_optional_file_and_no_option(capsys):
+    parser = cli.build_parser()
+    args = parser.parse_args(["verify", "DIGEST", "FILE"])
+    assert (args.command, args.digest, args.path) == ("verify", "DIGEST", "FILE")
+    assert parser.parse_args(["verify", "DIGEST"]).path == "-"
+    with pytest.raises(SystemExit) as refused:
+        parser.parse_args(["verify", "--memory-budget", "5", "DIGEST"])
+    assert refused.value.code == 2
+    assert "unrecognized arguments: --memory-budget" in capsys.readouterr().err
 
 
 def test_verify_detects_appended_byte(sample):
@@ -262,6 +275,13 @@ def test_verify_refuses_an_oversized_digest_file_after_a_bounded_read(sample, tm
     assert result.returncode == 2
     lines = result.stderr.decode().strip().splitlines()
     assert len(lines) == 1 and "larger than 4096 bytes" in lines[0]
+
+
+def test_verify_takes_a_digest_file_of_exactly_the_size_limit(sample, tmp_path):
+    digest = run_cli("hash", str(sample), check=True).stdout
+    digest_path = tmp_path / "padded.ash"
+    digest_path.write_bytes(digest.ljust(cli._DIGEST_FILE_LIMIT, b"\n"))
+    assert run_cli("verify", f"@{digest_path}", str(sample)).returncode == 0
 
 
 def test_verify_ash2_round_trip(sample):
@@ -449,11 +469,12 @@ def test_an_endless_device_is_spooled_not_read_as_empty(tmp_path, command, devic
     empty = tmp_path / "empty"
     empty.write_bytes(b"")
     digest = run_cli("hash", str(empty), check=True).stdout.decode().strip()
-    argv = {"hash": [], "verify": [digest]}[command]
+    # verify spools at the default budget, which a 1 MiB limit stops all the same
+    argv = {"hash": ["--memory-budget", "0"], "verify": [digest]}[command]
     env = _cli_env()
     env["TMPDIR"] = str(tmp_path)
     result = subprocess.run(
-        [sys.executable, "-m", "ash.cli", command, "--memory-budget", "0", *argv, device],
+        [sys.executable, "-m", "ash.cli", command, *argv, device],
         capture_output=True, env=env, timeout=60, preexec_fn=_limit_file_size,
     )
     assert result.returncode == 2, result.stderr
@@ -934,14 +955,16 @@ def _cli_case(draw, paths):
             "--format": _choice_or_word("binary", "hex", "tagged"),
             "--memory-budget": st.integers(-2, 1 << 20).map(str) | _WORD,
         },
-        "verify": {"--memory-budget": st.integers(-2, 1 << 20).map(str) | _WORD},
+        "verify": {},
         "pepper": {"--variant": _choice_or_word("ash1", "ash2")},
         "challenge": {"--variant": _choice_or_word("ash1", "ash2")},
     }[command]
     argv = [command]
     if command == "challenge":  # its one required option
         argv += ["--role", draw(_choice_or_word("challenger", "responder"))]
-    for flag in draw(st.lists(st.sampled_from(sorted(options)), unique=True)):
+    # sampled_from refuses an empty table, so verify draws no option at all
+    flags = st.lists(st.sampled_from(sorted(options)), unique=True) if options else st.just([])
+    for flag in draw(flags):
         argv += [flag, draw(options[flag])]
     argv += {
         "hash": lambda: draw(st.lists(path, max_size=1)),
@@ -1003,9 +1026,8 @@ def _fifo_case(draw):
     payload = draw(st.binary(max_size=4096))
     variant = draw(st.sampled_from(["ash1", "ash2"]))
     command = draw(st.sampled_from(["hash", "verify", "challenge"]))
-    budget = ["--memory-budget", str(draw(st.integers(0, 4096)))]
     if command == "hash":
-        argv = ["hash", "--variant", variant] + budget
+        argv = ["hash", "--variant", variant, "--memory-budget", str(draw(st.integers(0, 4096)))]
     elif command == "verify":
         digest = draw(
             st.sampled_from([payload, payload + b"\0"]).map(
@@ -1013,7 +1035,7 @@ def _fifo_case(draw):
             )
             | _WORD
         )
-        argv = ["verify", digest] + budget
+        argv = ["verify", digest]
     else:
         argv = ["challenge", "--variant", variant, "--role"]
         argv.append(draw(st.sampled_from(["challenger", "responder"])))

@@ -429,6 +429,20 @@ def test_a_failed_digest_leaves_a_buffer_message_unpinned(monkeypatch, size):
     assert mapped.closed
 
 
+def test_a_strided_buffer_is_refused_as_not_c_contiguous_and_left_unpinned():
+    # Only a C-contiguous buffer is read in place; a strided view would need a
+    # copy as large as the message, which a digest never makes.
+    message = bytearray(64)
+    strided = memoryview(message)[::2]
+    try:
+        create(strided, ASH1)
+    except TypeError as exc:
+        assert str(exc) == "a buffer message must be C-contiguous, not strided"
+        strided.release()
+        message.extend(b"!")  # BufferError while any view of it is exported
+    assert message == bytes(64) + b"!"
+
+
 def test_concurrent_multi_chunk_digests_match_the_oracle():
     # more digesting threads than cores, switching as often as possible: a
     # chunk lost or reordered on its way to the worker breaks the digest
@@ -747,6 +761,45 @@ def test_a_file_changed_while_it_is_hashed_is_refused(
     else:
         with open(path, "rb") as stream, pytest.raises(AshError, match="changed while"):
             create(stream, ASH1) if entry == "create" else verify(stream, claimed)
+
+
+@pytest.mark.parametrize("entry", ["create", "ash verify"])
+def test_a_same_size_rewrite_with_its_mtime_restored_is_refused(
+    monkeypatch, tmp_path, capsys, entry
+):
+    # Size, inode and mtime are as they were, so only the change time shows it.
+    path = tmp_path / "input.bin"
+    old = random.Random(91).randbytes(3 * CHUNK_BYTES + 500)
+    path.write_bytes(old)
+    claimed = create(old, ASH1)
+    before = path.stat()
+    probe = tmp_path / "probe"
+    probe.touch()
+    while probe.stat().st_ctime_ns <= before.st_ctime_ns:  # the file clock ticks coarsely
+        time.sleep(0.001)
+        probe.touch()
+    real = ash.files.interleave_runs
+    rewritten = []
+
+    def rewriting(*args):
+        if not rewritten:
+            path.write_bytes(random.Random(92).randbytes(len(old)))
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+            rewritten.append(path.stat())
+        return real(*args)
+
+    monkeypatch.setattr(ash.files, "interleave_runs", rewriting)
+    if entry == "create":
+        with open(path, "rb") as stream, pytest.raises(AshError, match="changed while"):
+            create(stream, ASH1)
+    else:
+        assert cli.main(["verify", encode(claimed), str(path)]) == 2
+        assert capsys.readouterr() == ("", "ash: input changed while it was being hashed\n")
+    (after,) = rewritten
+    assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
+        before.st_ino, before.st_size, before.st_mtime_ns
+    )
+    assert after.st_ctime_ns != before.st_ctime_ns
 
 
 @pytest.mark.parametrize("kind", ["spool", "buffered-bytesio"])
