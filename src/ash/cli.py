@@ -40,10 +40,22 @@ _SHARE_LINE_LIMIT = 2 * ASH2.pepper_size
 
 
 def _stdin() -> io.IOBase:
-    """Standard input as bytes; a closed standard input is an I/O error (exit 2)."""
+    """Standard input as bytes; a closed standard input is an I/O error (exit 2).
+
+    So is a non-blocking one that is not a regular file: a read of it that
+    would block returns nothing, which every reader would take for the end
+    of the input. O_NONBLOCK stays set, as the parent shares it.
+    """
     if sys.stdin is None:
         raise AshError("standard input is closed")
-    return sys.stdin.buffer
+    stream = sys.stdin.buffer
+    try:
+        fd = stream.fileno()
+    except OSError:  # no descriptor: an in-memory standard input
+        return stream
+    if not os.get_blocking(fd) and not stat.S_ISREG(os.fstat(fd).st_mode):
+        raise AshError("standard input is non-blocking and not a regular file")
+    return stream
 
 
 def _open_input(path: str, memory_budget: int = files.DEFAULT_MEMORY_BUDGET) -> io.IOBase:

@@ -76,10 +76,16 @@ def _keep_chunk_pages(chunk_bytes: int) -> None:
 
 
 def _read_exactly(stream: io.IOBase, n: int) -> bytes:
-    """Read n bytes from a blocking stream; fewer only if the stream ends first."""
+    """Read n bytes from a stream; fewer only if the stream ends first.
+
+    A read that would block (None, from a non-blocking stream) is not the
+    end: it raises BlockingIOError.
+    """
     parts = []
     while n:
         piece = stream.read(n)
+        if piece is None:
+            raise BlockingIOError("a read would block: the stream has no data yet")
         if not piece:
             break
         parts.append(piece)

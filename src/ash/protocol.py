@@ -138,7 +138,9 @@ def decode_frame(data: bytes) -> tuple[ProtocolFrame, bytes]:
 
 
 def read_frame(stream: io.IOBase) -> ProtocolFrame | None:
-    """Read one frame from a blocking stream; None on clean end-of-stream.
+    """Read one frame from a stream; None on clean end-of-stream.
+
+    A non-blocking stream with no data yet raises BlockingIOError instead.
 
     The header is checked before its length is trusted for the payload read;
     ``decode_frame`` then parses what was read, a short read included.

@@ -54,15 +54,12 @@ class _ToyHasher:
         self._tail = buf[whole:]
 
     def digest(self) -> bytes:
-        bits = self._length * 8
-        suffix = b"\x80"
-        suffix += bytes(-(self._length + 1 + 4) % BLOCK_SIZE)
-        suffix += (bits & _MASK).to_bytes(4, "big")
-        state = self._state
-        buf = self._tail + suffix
-        for i in range(0, len(buf), BLOCK_SIZE):
-            state = _mix(state, buf[i : i + BLOCK_SIZE])
-        return state.to_bytes(DIGEST_SIZE, "big")
+        # the padding goes through update on a copy, so self stays as it is
+        suffix = b"\x80" + bytes(-(self._length + 1 + 4) % BLOCK_SIZE)
+        copy = _ToyHasher()
+        copy._state, copy._tail = self._state, self._tail
+        copy.update(suffix + (self._length * 8 & _MASK).to_bytes(4, "big"))
+        return copy._state.to_bytes(DIGEST_SIZE, "big")
 
 
 def toy_hash() -> BlockHashFunction:

@@ -1,4 +1,4 @@
-"""Hand mutants of the digest core and the CLI, and a runner that checks each is killed.
+"""Hand mutants of the core, the CLI and the frame parser; a runner checks each is killed.
 
 Run from the repository root, with the test dependencies installed:
 
@@ -14,8 +14,9 @@ mutant not marked equivalent survives. An equivalent mutant hashes the
 same bytes as the code it replaces; it is listed so that it is not tried
 again, and skipped.
 
-Add a mutant for each bug fixed in ``_sections``, ``decode``,
-``_open_input`` or the frame parser, and run this after changing them.
+Add a mutant for each bug fixed in ``_sections``, ``decode``, the CLI's
+standard input or the frame parser and its reader, and run this after
+changing them.
 """
 
 import os
@@ -64,7 +65,26 @@ MUTANTS = {
         "cli.py",
         "info.st_size > _PAGE",
         "info.st_size >= _PAGE",
-        ("tests/test_cli.py::test_a_sysfs_file_is_hashed_by_its_contents",),
+        (
+            "tests/test_cli.py::test_a_sysfs_file_is_hashed_by_its_contents",
+            "tests/test_cli.py::"
+            "test_standard_input_of_one_page_is_spooled_and_of_a_byte_more_is_not",
+        ),
+    ),
+    "non-blocking-standard-input-taken": (
+        "cli.py",
+        "if not os.get_blocking(fd) and",
+        "if False and",
+        ("tests/test_cli.py::test_a_non_blocking_standard_input_pipe_exits_2_with_one_line",),
+    ),
+    "non-blocking-regular-file-refused": (
+        "cli.py",
+        " and not stat.S_ISREG(os.fstat(fd).st_mode):",
+        ":",
+        (
+            "tests/test_cli.py::"
+            "test_a_non_blocking_regular_file_as_standard_input_is_hashed_in_place",
+        ),
     ),
     "digest-file-read-one-byte-short": (
         "cli.py",
@@ -97,6 +117,49 @@ MUTANTS = {
         (
             "tests/test_files.py::"
             "test_a_strided_buffer_is_refused_as_not_c_contiguous_and_left_unpinned",
+        ),
+    ),
+    "would-block-taken-for-the-end": (
+        "files.py",
+        "if piece is None:",
+        "if False:",
+        ("tests/test_protocol.py::test_read_frame_takes_a_read_that_would_block_for_no_end",),
+    ),
+    "payload-cap-taken-as-too-long": (
+        "protocol.py",
+        "if length > _MAX_PAYLOAD[frame_type]:",
+        "if length >= _MAX_PAYLOAD[frame_type]:",
+        (
+            "tests/test_protocol.py::test_read_frame_bounds_each_frame_type",
+            "tests/test_protocol.py::test_both_parsers_share_one_payload_bound",
+        ),
+    ),
+    "whole-frame-taken-as-truncated": (
+        "protocol.py",
+        "if len(data) < end:",
+        "if len(data) <= end:",
+        (
+            "tests/test_protocol.py::test_codec_round_trip_large_payloads",
+            "tests/test_protocol.py::test_read_frame_bounds_each_frame_type",
+        ),
+    ),
+    "payload-read-before-the-header-check": (
+        "protocol.py",
+        "raw += _read_exactly(stream, _check_header(raw)[1])",
+        "raw += _read_exactly(stream, _HEADER.unpack_from(raw)[3])",
+        (
+            "tests/test_protocol.py::"
+            "test_read_frame_refuses_oversized_length_before_reading_payload",
+            "tests/test_protocol.py::test_every_type_byte_is_checked_against_the_frame_types",
+        ),
+    ),
+    "header-version-unchecked": (
+        "protocol.py",
+        "if version != VERSION:",
+        "if False:",
+        (
+            "tests/test_protocol.py::test_decode_errors_are_distinct",
+            "tests/test_protocol.py::test_frame_checks_run_in_wire_order",
         ),
     ),
     "zero-chunk-one-static-update": (

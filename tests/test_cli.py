@@ -519,19 +519,64 @@ def sample_over_a_page(tmp_path):
     return path
 
 
+def _hash_standard_input(handle, pepper, monkeypatch):
+    """What ``ash hash --pepper PEPPER -`` run in this process writes, reading ``handle``."""
+    stdout = io.TextIOWrapper(io.BytesIO())
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(handle))
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(["hash", "--pepper", pepper, "-"]) == 0
+    return stdout.buffer.getvalue()
+
+
 def test_redirected_standard_input_is_hashed_in_place(sample_over_a_page, monkeypatch):
     def refuse(*args):
         raise AssertionError("a regular file larger than a page was spooled")
 
     monkeypatch.setattr(files, "spool_to_seekable", refuse)
     pepper = "7e" * 64
-    stdout = io.TextIOWrapper(io.BytesIO())
     with open(sample_over_a_page, "rb") as handle:
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(handle))
-        monkeypatch.setattr(sys, "stdout", stdout)
-        assert cli.main(["hash", "--pepper", pepper, "-"]) == 0
+        out = _hash_standard_input(handle, pepper, monkeypatch)
     expected = create(sample_over_a_page.read_bytes(), ASH1, bytes.fromhex(pepper))
-    assert stdout.buffer.getvalue() == f"{encode(expected)}\n".encode()
+    assert out == f"{encode(expected)}\n".encode()
+
+
+def test_standard_input_of_one_page_is_spooled_and_of_a_byte_more_is_not(tmp_path, monkeypatch):
+    # the page boundary without sysfs: a file of exactly one page is spooled
+    spool = files.spool_to_seekable
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return spool(*args)
+
+    monkeypatch.setattr(files, "spool_to_seekable", counted)
+    pepper = "6e" * 64
+    for size, spooled in ((cli._PAGE, 1), (cli._PAGE + 1, 0)):
+        path = tmp_path / f"{size}.bin"
+        path.write_bytes((b"one page of data " * cli._PAGE)[:size])
+        calls.clear()
+        with open(path, "rb") as handle:
+            out = _hash_standard_input(handle, pepper, monkeypatch)
+        assert len(calls) == spooled, size
+        expected = create(path.read_bytes(), ASH1, bytes.fromhex(pepper))
+        assert out == f"{encode(expected)}\n".encode()
+
+
+def test_a_non_blocking_regular_file_as_standard_input_is_hashed_in_place(
+    sample_over_a_page, monkeypatch
+):
+    # O_NONBLOCK does nothing to a regular file, so it is not refused
+    def refuse(*args):
+        raise AssertionError("a regular file larger than a page was spooled")
+
+    monkeypatch.setattr(files, "spool_to_seekable", refuse)
+    pepper = "4b" * 64
+    fd = os.open(sample_over_a_page, os.O_RDONLY | os.O_NONBLOCK)
+    with open(fd, "rb") as handle:
+        assert not os.get_blocking(fd)
+        out = _hash_standard_input(handle, pepper, monkeypatch)
+    expected = create(sample_over_a_page.read_bytes(), ASH1, bytes.fromhex(pepper))
+    assert out == f"{encode(expected)}\n".encode()
 
 
 def test_start_up_and_an_in_place_hash_leave_tempfile_unloaded(sample_over_a_page):
@@ -805,6 +850,64 @@ def test_closed_stdin_exits_2_with_one_line(sample, command):
     assert result.returncode == 2, result.stderr
     assert result.stdout == b""
     assert result.stderr.decode().splitlines() == ["ash: standard input is closed"]
+
+
+def _run_on_a_non_blocking_pipe(argv, first, rest, pause=1.5):
+    """Run ash on a non-blocking pipe whose writer pauses between two parts.
+
+    A parent may leave O_NONBLOCK on a pipe it shares. The writer sends
+    ``first``, waits up to ``pause`` seconds for ash to exit, then sends
+    ``rest``: a reader that takes the empty pipe for the end of its input
+    sees only ``first``.
+    """
+    read_end, write_end = os.pipe()
+    os.set_blocking(read_end, False)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ash.cli", *argv], stdin=read_end,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+        )
+    finally:
+        os.close(read_end)
+    try:
+        os.write(write_end, first)
+        with contextlib.suppress(subprocess.TimeoutExpired):
+            proc.wait(timeout=pause)
+        with contextlib.suppress(BrokenPipeError):
+            os.write(write_end, rest)
+    finally:
+        os.close(write_end)
+    return (proc, *_finish(proc, timeout=60))
+
+
+@pytest.mark.parametrize(
+    "command", ["hash", "verify", "pepper-combine", "challenger", "responder"]
+)
+def test_a_non_blocking_standard_input_pipe_exits_2_with_one_line(sample, command):
+    # each command, taking the paused pipe for its end, would answer for
+    # ``first`` alone: a digest, a mismatch, one share, or a frame
+    pepper = "3c" * 64
+    data = bytes(range(250)) * 8
+    shares = ("5a" * 64 + "\n").encode(), ("c3" * 64 + "\n").encode()
+    challenge = encode_frame(ProtocolFrame(FrameType.CHALLENGE, bytes(ASH1.pepper_size)))
+    verdict = encode_frame(ProtocolFrame(FrameType.VERDICT, b"\x01"))
+    argv, first, rest = {
+        "hash": (["hash", "--pepper", pepper, "-"], data[:1000], data[1000:]),
+        "verify": (
+            ["verify", encode(create(data, ASH1, bytes.fromhex(pepper))), "-"],
+            data[:1000],
+            data[1000:],
+        ),
+        "pepper-combine": (["pepper", "combine"], *shares),
+        "challenger": (["challenge", "--role", "challenger", str(sample)], b"", b""),
+        "responder": (["challenge", "--role", "responder", str(sample)], challenge, verdict),
+    }[command]
+    proc, out, err = _run_on_a_non_blocking_pipe(argv, first, rest)
+    assert proc.returncode == 2, err
+    assert out == b""
+    assert err.decode().splitlines() == [
+        "ash: standard input is non-blocking and not a regular file"
+    ]
 
 
 def _run_with_stderr(argv, stderr):

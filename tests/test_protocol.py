@@ -1,6 +1,7 @@
 """Frame codec and the challenge-response / pepper-agreement machinery."""
 
 import io
+import os
 import pickle
 import random
 
@@ -171,6 +172,19 @@ def test_both_parsers_refuse_every_truncated_prefix_alike(frame_type):
             read_frame(io.BytesIO(raw[:end]))
         assert type(read.value) is type(decoded.value)
         assert str(read.value) == str(decoded.value), end
+
+
+@pytest.mark.parametrize("held", [0, HEADER_SIZE // 2], ids=["empty", "half-a-header"])
+def test_read_frame_takes_a_read_that_would_block_for_no_end(held):
+    # a non-blocking pipe with no data yet is not a closed peer, nor a
+    # truncated frame: its writer may still send the rest
+    read_end, write_end = os.pipe()
+    os.set_blocking(read_end, False)
+    with open(read_end, "rb") as stream, open(write_end, "wb") as writer:
+        writer.write(encode_frame(ProtocolFrame(FrameType.VERDICT, b"\x01"))[:held])
+        writer.flush()
+        with pytest.raises(BlockingIOError):
+            read_frame(stream)
 
 
 @pytest.mark.parametrize("frame_type", PAYLOAD_LIMITS, ids=lambda t: t.name.lower())
