@@ -42,9 +42,10 @@ _SHARE_LINE_LIMIT = 2 * ASH2.pepper_size
 def _stdin() -> io.IOBase:
     """Standard input as bytes; a closed standard input is an I/O error (exit 2).
 
-    So is a non-blocking one that is not a regular file: a read of it that
-    would block returns nothing, which every reader would take for the end
-    of the input. O_NONBLOCK stays set, as the parent shares it.
+    So is a non-blocking one that is not a regular file: the share
+    reader's ``readline`` would take a read that would block for the end
+    of the input, and ``challenge`` would write a frame before the frame
+    reader refused it. O_NONBLOCK stays set, as the parent shares it.
     """
     if sys.stdin is None:
         raise AshError("standard input is closed")

@@ -293,20 +293,20 @@ def spool_to_seekable(source: io.IOBase, memory_budget: int = DEFAULT_MEMORY_BUD
     Stays in memory up to ``memory_budget`` bytes, then spills to a
     temporary file; a budget of 0 or less spills at once. The permutation
     needs random access, so streaming straight through is not an option.
-    The copy goes through ``shutil``'s default buffer (64 KiB on Linux, a
-    pipe's capacity), so the spool holds at most that much beyond the budget.
+    The copy reads 64 KiB at a time (a pipe's capacity), so the spool holds
+    at most that much beyond the budget. A read that would block raises
+    BlockingIOError, as it does for every reader of ``_read_exactly``.
     """
     # Imported here: a regular file larger than a page never spools, so
-    # hashing one and the CLI's start-up do not load tempfile (argparse's
-    # help formatter has loaded shutil by then).
-    import shutil
+    # hashing one and the CLI's start-up do not load tempfile.
     import tempfile
 
     spool = tempfile.SpooledTemporaryFile(max_size=memory_budget)
     try:
         if memory_budget <= 0:
             spool.rollover()  # a max_size of 0 would mean no limit at all
-        shutil.copyfileobj(source, spool)
+        while piece := _read_exactly(source, 64 << 10):
+            spool.write(piece)
     except BaseException:
         spool.close()
         raise

@@ -15,8 +15,8 @@ same bytes as the code it replaces; it is listed so that it is not tried
 again, and skipped.
 
 Add a mutant for each bug fixed in ``_sections``, ``decode``, the CLI's
-standard input or the frame parser and its reader, and run this after
-changing them.
+standard input, the spool or the frame parser and its reader, and run this
+after changing them.
 """
 
 import os
@@ -123,7 +123,16 @@ MUTANTS = {
         "files.py",
         "if piece is None:",
         "if False:",
-        ("tests/test_protocol.py::test_read_frame_takes_a_read_that_would_block_for_no_end",),
+        (
+            "tests/test_protocol.py::test_read_frame_takes_a_read_that_would_block_for_no_end",
+            "tests/test_files.py::test_a_non_blocking_pipe_is_never_spooled_in_part",
+        ),
+    ),
+    "spool-reads-the-stream-directly": (
+        "files.py",
+        "while piece := _read_exactly(source, 64 << 10):",
+        "while piece := source.read(64 << 10):",
+        ("tests/test_files.py::test_a_non_blocking_pipe_is_never_spooled_in_part",),
     ),
     "payload-cap-taken-as-too-long": (
         "protocol.py",

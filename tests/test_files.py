@@ -152,7 +152,7 @@ def test_spool_with_a_zero_budget_spills_at_once(size):
 @pytest.mark.parametrize("budget", [0, 1 << 20, 2 << 20])
 def test_a_spool_stays_within_its_memory_budget(budget):
     # the copy buffers count against the budget: two 1 MiB ones alive at
-    # once would take the peak 2 MiB past it, shutil's default 64 KiB do not
+    # once would take the peak 2 MiB past it, the spool's 64 KiB reads do not
     source = _Unseekable(random.Random(91).randbytes(4 << 20))
     tracemalloc.start()
     try:
@@ -189,6 +189,27 @@ def test_a_failed_spool_is_closed_before_the_error_propagates(budget):
         with pytest.raises(OSError, match="input/output error"):
             spool_to_seekable(_FailsAfter(2 << 20), memory_budget=budget)
         gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+@pytest.mark.parametrize("budget", [0, 1 << 20])
+def test_a_non_blocking_pipe_is_never_spooled_in_part(budget):
+    # The writer has sent a first part and paused, its end still open. A
+    # copy that took the read that would block for the end would return a
+    # spool of the first part, whose digest would pass for the whole's.
+    read_end, write_end = os.pipe()
+    try:
+        os.set_blocking(read_end, False)
+        os.write(write_end, bytes(1000))
+        with open(read_end, "rb", closefd=False) as source:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(BlockingIOError):
+                    spool_to_seekable(source, memory_budget=budget)
+                gc.collect()
+    finally:
+        os.close(read_end)
+        os.close(write_end)
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
