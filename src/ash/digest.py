@@ -22,9 +22,9 @@ from __future__ import annotations
 import hmac
 import io
 
-from .errors import DigestFormatError, SizeMismatchError
+from .errors import DigestFormatError
 from .files import _sections
-from .record import Record
+from .record import Record, _as_bytes
 from .seasoning import generate_pepper
 from .variants import ASH1, ASH2, AshVariant
 
@@ -35,9 +35,9 @@ _HEX_TEXT = b"0123456789abcdefABCDEF \t\n\r\x0b\x0c"
 class AshDigest(Record):
     """One composite digest; construction enforces the section sizes.
 
-    The sections and the pepper are held as ``bytes``: any other bytes-like
-    field is copied, so a digest hashes, encodes and verifies whatever it
-    was built from, and a buffer changed later leaves it as it was.
+    Each field is held as ``bytes`` through ``record._as_bytes``, so a digest
+    hashes, encodes and verifies whatever it was built from, and a buffer
+    changed later leaves it as it was.
     """
 
     __slots__ = ()
@@ -46,23 +46,10 @@ class AshDigest(Record):
     def __new__(
         cls, variant: AshVariant, static_section: bytes, dynamic_section: bytes, pepper: bytes
     ) -> AshDigest:
-        # only a field that is not bytes is copied, so create's cost nothing here
-        if static_section.__class__ is not bytes:
-            static_section = memoryview(static_section).tobytes()
-        if dynamic_section.__class__ is not bytes:
-            dynamic_section = memoryview(dynamic_section).tobytes()
-        if pepper.__class__ is not bytes:
-            pepper = memoryview(pepper).tobytes()
-        if len(static_section) != variant.section_size:
-            raise SizeMismatchError(
-                f"static section is {len(static_section)} bytes, wanted {variant.section_size}"
-            )
-        if len(dynamic_section) != variant.section_size:
-            raise SizeMismatchError(
-                f"dynamic section is {len(dynamic_section)} bytes, wanted {variant.section_size}"
-            )
-        if len(pepper) != variant.pepper_size:
-            raise SizeMismatchError(f"pepper is {len(pepper)} bytes, wanted {variant.pepper_size}")
+        # bytes fields are kept as they are, so create's cost nothing here
+        static_section = _as_bytes(static_section, variant.section_size, "static section")
+        dynamic_section = _as_bytes(dynamic_section, variant.section_size, "dynamic section")
+        pepper = _as_bytes(pepper, variant.pepper_size, "pepper")
         return tuple.__new__(cls, (variant, static_section, dynamic_section, pepper))
 
 
@@ -159,7 +146,7 @@ def decode(encoded: bytes | str) -> AshDigest:
     """
     if isinstance(encoded, str):
         return _decode_text(encoded)
-    raw = memoryview(encoded).tobytes()
+    raw = _as_bytes(encoded)
     # ASH1 and ASH2 are looked up on each call: the benchmark's tracer replaces them
     binary = next((v for v in (ASH1, ASH2) if len(raw) == v.total_size), None)
     if binary is not None and raw.translate(None, _HEX_TEXT):

@@ -33,7 +33,8 @@ from __future__ import annotations
 import io
 import os
 
-from .errors import AshError, SizeMismatchError
+from .errors import AshError
+from .record import _as_bytes
 from .restructure import interleave_runs, pad_suffix
 from .seasoning import apply_pepper
 from .variants import AshVariant
@@ -110,19 +111,15 @@ def _sections(
 ) -> tuple[bytes | None, bytes, bytes]:
     """The static and dynamic sections of bytes-like input or a seekable binary stream.
 
-    ``pepper`` is bytes-like; one that is not ``bytes`` is copied before
-    its size is checked, and the pepper hashed is the third value. A
-    stream is hashed from offset 0 whatever its position, and its size is
-    taken once at the start; a file read by its descriptor that changes
-    meanwhile raises ``AshError``. With ``static=False`` the static hash
-    is skipped and None stands in for it. A padded stream of one chunk or
-    less is permuted, peppered and hashed in one straight line on this
-    thread; only a longer one runs the chunk loop, with its worker thread.
+    ``pepper`` is read by ``record._as_bytes``; the pepper hashed is the third
+    value. A stream is hashed from offset 0 whatever its position, and its size
+    is taken once at the start; a file read by its descriptor that changes
+    meanwhile raises ``AshError``. With ``static=False`` the static hash is
+    skipped and None stands in for it. A padded stream of one chunk or less is
+    permuted, peppered and hashed in one straight line on this thread; only a
+    longer one runs the chunk loop, with its worker thread.
     """
-    if pepper.__class__ is not bytes:
-        pepper = memoryview(pepper).tobytes()
-    if len(pepper) != variant.pepper_size:
-        raise SizeMismatchError(f"pepper is {len(pepper)} bytes, wanted {variant.pepper_size}")
+    pepper = _as_bytes(pepper, variant.pepper_size, "pepper")
     flat = before = None
     if source.__class__ is bytes:
         flat = source  # sliced as it is: a view over it costs more than it saves

@@ -38,7 +38,7 @@ from .errors import (
     TruncatedFrameError,
 )
 from .files import _read_exactly
-from .record import Record
+from .record import Record, _as_bytes
 from .seasoning import generate_pepper
 from .variants import ASH2, AshVariant
 
@@ -72,17 +72,14 @@ _MAX_PAYLOAD = {
 class ProtocolFrame(Record):
     """One frame; a bare int type becomes its member. ``encode_frame`` caps the payload.
 
-    A bytes-like payload that is not ``bytes`` is copied, as ``AshDigest`` does.
+    The payload goes through ``record._as_bytes``, as ``AshDigest``'s fields do.
     """
 
     __slots__ = ()
     _fields = ("frame_type", "payload")
 
     def __new__(cls, frame_type: int, payload: bytes) -> ProtocolFrame:
-        frame_type = _frame_type(frame_type)
-        if payload.__class__ is not bytes:
-            payload = memoryview(payload).tobytes()
-        return tuple.__new__(cls, (frame_type, payload))
+        return tuple.__new__(cls, (_frame_type(frame_type), _as_bytes(payload)))
 
 
 def _frame_type(value: int) -> FrameType:
@@ -125,7 +122,8 @@ def _check_header(data: bytes) -> tuple[FrameType, int]:
 
 
 def decode_frame(data: bytes) -> tuple[ProtocolFrame, bytes]:
-    """Consume exactly one frame; return it with the unread remainder."""
+    """Consume one frame of ``data``, read by ``record._as_bytes``; return it and the rest."""
+    data = _as_bytes(data)
     if len(data) < HEADER_SIZE:
         raise TruncatedFrameError(f"{len(data)} bytes is shorter than a frame header")
     frame_type, length = _check_header(data)

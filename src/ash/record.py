@@ -1,8 +1,24 @@
-"""The immutable value class behind ``AshDigest`` and ``ProtocolFrame``."""
+"""``Record``, the value class of digests and frames, and ``_as_bytes``, the byte intake."""
 
 from __future__ import annotations
 
 from operator import itemgetter
+
+from .errors import SizeMismatchError
+
+
+def _as_bytes(value: bytes, size: int | None = None, what: str = "value") -> bytes:
+    """The raw bytes of a bytes-like value in C order, as ``bytes``; ``bytes`` is not copied.
+
+    A buffer is measured in bytes, not items; a value with no buffer, an int
+    too, gets ``memoryview``'s ``TypeError``. A length other than ``size``
+    (if given) raises ``SizeMismatchError``, naming the value as ``what``.
+    """
+    if value.__class__ is not bytes:
+        value = memoryview(value).tobytes()
+    if size is not None and len(value) != size:
+        raise SizeMismatchError(f"{what} is {len(value)} bytes, wanted {size}")
+    return value
 
 
 class Record(tuple):

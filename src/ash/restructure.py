@@ -18,6 +18,7 @@ import struct
 from collections.abc import Sequence
 
 from .errors import MessageTooLongError, SizeMismatchError
+from .record import _as_bytes
 from .variants import AshVariant
 
 
@@ -40,7 +41,8 @@ def pad_suffix(message_length: int, variant: AshVariant) -> bytes:
 
 
 def pad_message(message: bytes, variant: AshVariant) -> bytes:
-    """Pad a message to a positive multiple of the variant's block size."""
+    """Pad a bytes-like message to a positive multiple of the variant's block size."""
+    message = _as_bytes(message)
     return message + pad_suffix(len(message), variant)
 
 
@@ -48,8 +50,9 @@ def interleave(halves: Sequence[bytes]) -> bytes:
     """Reorder 2N half-blocks as h1, h(N+1), h2, h(N+2), ... and rejoin.
 
     With one block (N=1) the order is unchanged. An odd half count, an
-    empty half, or halves of more than one length are rejected.
+    empty half, or halves of more than one byte length are rejected.
     """
+    halves = [_as_bytes(half) for half in halves]
     size = len(halves[0]) if halves else 0
     if not size or len(halves) % 2 or any(len(half) != size for half in halves):
         raise SizeMismatchError(
@@ -71,7 +74,9 @@ def interleave_runs(first: bytes, second: bytes, half_size: int) -> bytes:
     per pair plus 0.8 us per call for each of a half's ``width`` words
     (timeit minima, x86-64, Python 3.11). So the strided copy wins only
     when ``pairs * (70 - 13 * width) > 800 * width``: for ASH-1's 32-byte
-    halves from 178 pairs on, and for ASH-2's 64-byte halves never.
+    halves from 178 pairs on, and for ASH-2's 64-byte halves never. A seam of
+    the chunk loop, it takes ``bytes`` and skips ``record._as_bytes``, as
+    ``seasoning.apply_pepper`` does and for the same reason.
     """
     if len(first) != len(second) or len(first) % half_size != 0:
         raise SizeMismatchError("half-block runs must be equal block-aligned lengths")

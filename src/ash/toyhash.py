@@ -15,6 +15,7 @@ from collections import namedtuple
 
 from .errors import SizeMismatchError
 from .hashes import BlockHashFunction
+from .record import _as_bytes
 from .restructure import interleave_runs
 from .variants import AshVariant
 
@@ -46,6 +47,7 @@ class _ToyHasher:
         self._length = 0
 
     def update(self, data: bytes) -> None:
+        data = _as_bytes(data)  # counted in bytes, as hashlib counts them
         self._length += len(data)
         buf = self._tail + data
         whole = len(buf) - len(buf) % BLOCK_SIZE
@@ -78,8 +80,7 @@ def collide(block: bytes) -> bytes:
     Adds one to the first word and subtracts one from the second, preserving
     the word sum the compression actually consumes.
     """
-    if len(block) != BLOCK_SIZE:
-        raise SizeMismatchError(f"toy blocks are {BLOCK_SIZE} bytes, got {len(block)}")
+    block = _as_bytes(block, BLOCK_SIZE, "toy block")
     w1 = (int.from_bytes(block[:4], "big") + 1) & _MASK
     w2 = (int.from_bytes(block[4:], "big") - 1) & _MASK
     return w1.to_bytes(4, "big") + w2.to_bytes(4, "big")

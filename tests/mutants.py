@@ -14,9 +14,9 @@ mutant not marked equivalent survives. An equivalent mutant hashes the
 same bytes as the code it replaces; it is listed so that it is not tried
 again, and skipped.
 
-Add a mutant for each bug fixed in ``_sections``, ``decode``, the CLI's
-standard input, the spool or the frame parser and its reader, and run this
-after changing them.
+Add a mutant for each bug fixed in ``_sections``, ``decode``, the byte
+intake ``record._as_bytes``, the CLI's standard input, the spool or the
+frame parser and its reader, and run this after changing them.
 """
 
 import os
@@ -169,6 +169,26 @@ MUTANTS = {
         (
             "tests/test_protocol.py::test_decode_errors_are_distinct",
             "tests/test_protocol.py::test_frame_checks_run_in_wire_order",
+        ),
+    ),
+    "intake-takes-bytes-of-an-int": (
+        "record.py",
+        "value = memoryview(value).tobytes()",
+        "value = bytes(value)",
+        (
+            "tests/test_digest.py::test_a_digest_field_that_is_not_bytes_like_is_refused",
+            "tests/test_protocol.py::"
+            "test_a_payload_that_is_not_bytes_like_is_refused_when_the_frame_is_built",
+            "tests/test_seasoning.py::test_make_salt_refuses_a_half_that_is_not_bytes_like",
+        ),
+    ),
+    "intake-size-unchecked": (
+        "record.py",
+        "if size is not None and len(value) != size:",
+        "if False:",
+        (
+            "tests/test_digest.py::test_malformed_digest_cannot_be_constructed",
+            "tests/test_seasoning.py::test_make_salt_rejects_wrong_half_size",
         ),
     ),
     "zero-chunk-one-static-update": (

@@ -407,7 +407,11 @@ def test_memoryview_pepper_gives_the_bytes_digest():
     assert dynamic_section(b"pepper", ASH1, memoryview(pepper)) == expected.dynamic_section
 
 
-@pytest.mark.parametrize("kind", [bytearray, memoryview], ids=["bytearray", "memoryview"])
+@pytest.mark.parametrize(
+    "kind",
+    [bytearray, memoryview, lambda b: array("I", b)],
+    ids=["bytearray", "memoryview", "array-I"],
+)
 @pytest.mark.parametrize("use", ["hash", "verify", "encode"])
 def test_a_digest_built_from_bytes_like_fields_holds_bytes(kind, use):
     d = create(b"fields", ASH1, bytes(range(64)))
@@ -422,6 +426,17 @@ def test_a_digest_built_from_bytes_like_fields_holds_bytes(kind, use):
     for b in buffers:
         b[0] ^= 1  # the digest keeps what it was built from
     assert built == d and all(type(field) is bytes for field in built[1:])
+
+
+@pytest.mark.parametrize("field", [1, 2, 3], ids=["static", "dynamic", "pepper"])
+def test_a_digest_field_that_is_not_bytes_like_is_refused(field):
+    # bytes(n) is n zero bytes, which would pass as a field of the right size
+    d = create(b"fields", ASH1)
+    fields = list(d)
+    for value in (len(d[field]), "x" * len(d[field]), None):
+        fields[field] = value
+        with pytest.raises(TypeError):
+            AshDigest(*fields)
 
 
 @pytest.mark.parametrize("variant", [ASH1, ASH2], ids=["ash1", "ash2"])

@@ -4,6 +4,7 @@ import io
 import os
 import pickle
 import random
+from array import array
 
 import pytest
 
@@ -278,7 +279,11 @@ def test_frame_equals_only_a_frame_with_the_same_fields():
             setattr(frame, name, b"")
 
 
-@pytest.mark.parametrize("kind", [bytearray, memoryview], ids=["bytearray", "memoryview"])
+@pytest.mark.parametrize(
+    "kind",
+    [bytearray, memoryview, lambda b: array("I", b)],
+    ids=["bytearray", "memoryview", "array-I"],
+)
 @pytest.mark.parametrize("built_by", ["constructor", "decode_frame"])
 def test_a_bytes_like_payload_is_held_as_bytes(kind, built_by):
     payload = bytes(range(64))
@@ -287,18 +292,21 @@ def test_a_bytes_like_payload_is_held_as_bytes(kind, built_by):
         buffer = bytearray(payload)
         frame = ProtocolFrame(FrameType.CHALLENGE, kind(buffer))
     else:
-        buffer = bytearray(encode_frame(expected))
+        # two bytes of a next frame follow, so the buffer is whole items of an array("I")
+        buffer = bytearray(encode_frame(expected) + b"AS")
         frame, rest = decode_frame(kind(buffer))
-        assert rest == b""
+        assert rest == b"AS" and rest.__class__ is bytes
     assert frame.payload.__class__ is bytes
     assert frame == expected and hash(frame) == hash(expected)
-    buffer[-1] ^= 0xFF  # the caller's buffer changes; the frame keeps what it was given
+    buffer[:] = bytes(len(buffer))  # the caller's buffer changes; the frame keeps its payload
     assert frame == expected and frame.payload == payload
 
 
 def test_a_payload_that_is_not_bytes_like_is_refused_when_the_frame_is_built():
-    with pytest.raises(TypeError):
-        ProtocolFrame(FrameType.CHALLENGE, "abc")
+    # bytes(32) is 32 zero bytes, which would pass as a payload
+    for payload in ("abc", 32, None):
+        with pytest.raises(TypeError):
+            ProtocolFrame(FrameType.CHALLENGE, payload)
     # the frame type is checked before the payload
     with pytest.raises(BadFrameTypeError):
         ProtocolFrame(0x07, "abc")

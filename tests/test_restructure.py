@@ -9,6 +9,7 @@ import dataclasses
 import importlib
 import random
 import types
+from array import array
 
 import pytest
 
@@ -177,6 +178,22 @@ def test_interleave_rejects_halves_of_unequal_or_zero_length():
     for halves in ([b"ab", b"cdef", b"gh", b"ijkl"], [b"ab", b"cd", b"ef", b"g"], [b"", b""]):
         with pytest.raises(SizeMismatchError):
             interleave(halves)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [bytearray, memoryview, lambda b: array("I", b)],
+    ids=["bytearray", "memoryview", "array-I"],
+)
+def test_pad_message_and_interleave_take_bytes_like_values_as_their_bytes(kind):
+    message = bytes(range(100))
+    padded = pad_message(kind(message), ASH1)
+    assert type(padded) is bytes and padded == pad_message(message, ASH1)
+    halves = split_halves(pad_message(message * 3, ASH1), ASH1)
+    expected = interleave(halves)
+    assert interleave([kind(half) for half in halves]) == expected
+    # every other half of another kind, beside bytes halves of the same byte length
+    assert interleave([kind(h) if i % 2 else h for i, h in enumerate(halves)]) == expected
 
 
 @pytest.mark.parametrize("variant", [ASH1, ASH2], ids=["ash1", "ash2"])

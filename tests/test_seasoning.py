@@ -1,6 +1,7 @@
 """XOR algebra for peppers, shares, and salts."""
 
 import random
+from array import array
 
 import pytest
 
@@ -113,8 +114,19 @@ def test_combine_over_a_generator_matches_a_list():
 def test_combine_rejects_empty_and_mixed():
     with pytest.raises(ValueError):
         combine_shares([])
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(SizeMismatchError, match="^share is 63 bytes, wanted 64$"):
         combine_shares([bytes(64), bytes(63)])
+
+
+@pytest.mark.parametrize("typecode", ["Q", "I"])
+def test_combine_shares_measures_array_shares_in_bytes(typecode):
+    rng = random.Random(28)
+    shares = [rng.randbytes(64) for _ in range(3)]
+    arrays = [array(typecode, share) for share in shares]
+    assert combine_shares(arrays) == combine_shares(shares)
+    # beside bytes shares, first or not
+    assert combine_shares([arrays[0], *shares[1:]]) == combine_shares(shares)
+    assert combine_shares([shares[0], *arrays[1:]]) == combine_shares(shares)
 
 
 def test_make_salt_concatenates_in_order():
@@ -124,10 +136,30 @@ def test_make_salt_concatenates_in_order():
 
 
 def test_make_salt_rejects_wrong_half_size():
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(SizeMismatchError, match="^salt half_a is 31 bytes, wanted 32$"):
         make_salt(bytes(31), bytes(32), ASH1)
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(SizeMismatchError, match="^salt half_b is 33 bytes, wanted 32$"):
         make_salt(bytes(32), bytes(33), ASH1)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [bytearray, memoryview, lambda b: array("I", b)],
+    ids=["bytearray", "memoryview", "array-I"],
+)
+def test_make_salt_takes_bytes_like_halves_as_their_bytes(kind):
+    half_a, half_b = bytes(range(32)), bytes(range(32, 64))
+    salt = make_salt(kind(half_a), kind(half_b), ASH1)
+    assert type(salt) is bytes and salt == make_salt(half_a, half_b, ASH1)
+
+
+@pytest.mark.parametrize("half", [32, "x" * 32, None], ids=["int", "str", "None"])
+def test_make_salt_refuses_a_half_that_is_not_bytes_like(half):
+    # bytes(32) is 32 zero bytes, which would pass as a half
+    with pytest.raises(TypeError):
+        make_salt(half, bytes(32), ASH1)
+    with pytest.raises(TypeError):
+        make_salt(bytes(32), half, ASH1)
 
 
 def test_append_salt_lengths():

@@ -1,6 +1,8 @@
 """The weak demonstration hash and the cascade experiment."""
 
+import hashlib
 import random
+from array import array
 
 import pytest
 
@@ -37,6 +39,15 @@ def test_incremental_updates_match_one_shot():
         h.update(message[:cut])
         h.update(message[cut:])
         assert h.digest() == toy.compute(message)
+
+
+@pytest.mark.parametrize("typecode", ["I", "Q"])
+def test_a_buffer_is_hashed_as_its_bytes_as_hashlib_does(typecode):
+    data = random.Random(65).randbytes(48)
+    items = array(typecode, data)
+    assert hashlib.sha256(items).digest() == hashlib.sha256(data).digest()
+    assert toy_hash().compute(items) == toy_hash().compute(data)
+    assert collide(array(typecode, data[:8])) == collide(data[:8])
 
 
 def test_length_is_hashed():
